@@ -133,7 +133,7 @@ func BenchmarkCacheSimulation(b *testing.B) {
 	cfg := cache.Config{Size: 8 << 10, Line: 32, Assoc: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simulate.Run(tr, base, nil, cfg); err != nil {
+		if _, err := simulate.RunManyOpt(tr, base, nil, []cache.Config{cfg}, simulate.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,34 +169,18 @@ func runManyLayout(b *testing.B, env *expt.Env) *layout.Layout {
 	return plan.Layout
 }
 
-// BenchmarkRunRepeated replays the 1M-reference Shell trace once per grid
-// configuration through simulate.Run — the pre-batching sweep strategy.
-func BenchmarkRunRepeated(b *testing.B) {
-	env := sharedEnv(b)
-	osL := runManyLayout(b, env)
-	tr := env.St.Data[3].Trace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cfg := range runManyGrid {
-			if _, err := simulate.Run(tr, osL, nil, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkRunMany drives the same 8-configuration grid through the
-// single-pass batched engine: the trace is decoded and block spans are
-// resolved once, all caches sharing a line size consume one event stream,
-// and the nested direct-mapped sizes are elided through their inclusion
-// chain. Compare ns/op against BenchmarkRunRepeated.
+// BenchmarkRunMany drives the 1M-reference Shell trace through the
+// 8-configuration grid in one batched replay: the trace is decoded and
+// block spans are resolved once, all caches sharing a line size consume
+// one compiled stream, and the nested direct-mapped sizes are elided
+// through their inclusion chain.
 func BenchmarkRunMany(b *testing.B) {
 	env := sharedEnv(b)
 	osL := runManyLayout(b, env)
 	tr := env.St.Data[3].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simulate.RunMany(tr, osL, nil, runManyGrid); err != nil {
+		if _, err := simulate.RunManyOpt(tr, osL, nil, runManyGrid, simulate.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

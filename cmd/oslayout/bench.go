@@ -104,14 +104,16 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// run_many shares one study across repetitions — the steady-state cost
-	// of evaluating experiments, not of building the world.
-	env, err := expt.NewEnv(expt.Options{OSRefs: refCount, KernelSeed: *seed, Recorder: rec})
-	if err != nil {
-		return fmt.Errorf("building study: %w", err)
-	}
+	// run_many times the table sweep on a fresh environment per repetition,
+	// built outside the timer: an environment memoizes experiment results,
+	// so a reused one would answer every repetition after the first from a
+	// map instead of constructing layouts and replaying.
 	for rep := 0; rep < *n; rep++ {
-		err := timeIt("run_many", func() error {
+		env, err := expt.NewEnv(expt.Options{OSRefs: refCount, KernelSeed: *seed, Recorder: rec})
+		if err != nil {
+			return fmt.Errorf("building study: %w", err)
+		}
+		err = timeIt("run_many", func() error {
 			for _, name := range benchExperiments {
 				r, err := expt.Run(env, name)
 				if err != nil {

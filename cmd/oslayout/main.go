@@ -405,7 +405,7 @@ func conflictReports(env *expt.Env, rec *oslayout.Recorder) ([]obs.ConflictRepor
 	for i, d := range env.St.Data {
 		s := oslayout.NewSimStats(0)
 		t0 := time.Now()
-		res, err := env.St.EvaluateObserved(i, base, nil, cfg, s)
+		res, err := env.St.Evaluate(i, base, nil, cfg, s)
 		if err != nil {
 			return nil, err
 		}

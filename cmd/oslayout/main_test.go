@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"oslayout/internal/expt"
+	"oslayout/internal/runstore"
 )
 
 func TestRunList(t *testing.T) {
@@ -652,6 +653,35 @@ func TestRunBenchRecord(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "bench") {
 		t.Errorf("archive has no bench record:\n%s", out.String())
+	}
+}
+
+// TestRunBenchRepetitionsReplay checks every run_many repetition runs its
+// experiments afresh: a repetition answered from memoized results replays
+// nothing, so the archived replay-event count must grow with -n.
+func TestRunBenchRepetitionsReplay(t *testing.T) {
+	events := func(n string) uint64 {
+		t.Helper()
+		dir := t.TempDir()
+		var out, errb bytes.Buffer
+		err := run([]string{"bench", "-n", n, "-refs", "100k", "-streamrefs", "100k",
+			"-record", "-dir", dir}, &out, &errb)
+		if err != nil {
+			t.Fatalf("%v\nstderr: %s", err, errb.String())
+		}
+		store, err := runstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := store.Get("latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Manifest.Counters["replay.events"]
+	}
+	one, two := events("1"), events("2")
+	if one == 0 || two != 2*one {
+		t.Errorf("run_many replayed %d events at -n 1 and %d at -n 2, want the second twice the first", one, two)
 	}
 }
 

@@ -311,6 +311,10 @@ func (c *Cache) EnableUtilization() error {
 	return nil
 }
 
+// UtilizationEnabled reports whether EnableUtilization switched on
+// line-utilization tracking.
+func (c *Cache) UtilizationEnabled() bool { return c.useMask != nil }
+
 // lineWords returns the number of instruction words per line.
 func (c *Cache) lineWords() int { return c.cfg.Line / trace.WordSize }
 
@@ -368,7 +372,7 @@ func (c *Cache) AccessLine(line uint64, d trace.Domain) MissClass {
 }
 
 // AccessFunc returns the geometry-specialised access implementation, the
-// same function AccessLine dispatches to. Batch drivers (simulate.RunMany)
+// same function AccessLine dispatches to. Batch drivers (simulate.RunManyOpt)
 // hoist it out of their inner loops to skip the method dispatch.
 func (c *Cache) AccessFunc() func(line uint64, d trace.Domain) MissClass {
 	return c.access

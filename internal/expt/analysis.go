@@ -108,7 +108,7 @@ func (e *Env) RunFigure1() (*Figure1, error) {
 	}
 	bucket := uint64(1 << 10)
 	f := &Figure1{Workload: e.Workloads()[workloadIdx]}
-	f.Total = simulate.MissHistogram(res, trace.DomainOS, e.Base(), bucket)
+	f.Total = simulate.HistogramOf(res.BlockMisses[trace.DomainOS], e.Base(), bucket)
 	f.Self = simulate.HistogramOf(res.BlockSelf[trace.DomainOS], e.Base(), bucket)
 	f.Cross = simulate.HistogramOf(res.BlockCross[trace.DomainOS], e.Base(), bucket)
 	var self, total uint64

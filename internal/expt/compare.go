@@ -21,7 +21,7 @@ import (
 // the workload × cache-size grid — the engine behind the CLI's `compare`
 // subcommand. It is the generalisation of Figure 15-(a): any strategy mix,
 // any size ladder, one batched trace replay per (workload, layout) through
-// simulate.RunMany.
+// oslayout.Study.EvaluateMany.
 type Compare struct {
 	Strategies []string
 	Sizes      []int
@@ -475,10 +475,15 @@ func (e *Env) RunCompareOpts(strategies []string, sizes []int, line, assoc int, 
 				c.CrossEvictions[si][tk.wi][tk.k] = shared[i].CPU.CrossEvictions()
 			}
 		} else {
+			// Straight to the study, not EvalMany: grid cells carry no
+			// live-progress observer.
+			start := time.Now()
 			var err error
-			if ress, err = e.EvalManyConfigured(tk.wi, osL, nil, cfgs, observers, setups); err != nil {
+			ress, err = e.St.EvaluateMany(tk.wi, osL, nil, cfgs, oslayout.ReplayOptions{Observers: observers, Setups: setups})
+			if err != nil {
 				return err
 			}
+			e.recordReplay(tk.wi, start)
 		}
 		var resolver *obs.LineResolver
 		if detail {

@@ -36,12 +36,12 @@ type Options struct {
 	// run in this environment.
 	Recorder *obs.Recorder
 	// OnWindow, when non-nil, receives one live progress sample per
-	// completed miss-rate window of every replay the environment runs: a
-	// streaming SimStats observer is attached to the first configuration
-	// of each Eval/EvalMany batch. The callback is invoked from parEach
-	// workers concurrently and must be safe for that. Replay results stay
-	// bit-identical (observation never changes cache state); the CLI paths
-	// leave this nil, so the unobserved fast paths are untouched there.
+	// completed miss-rate window of the experiments' replays (see Eval and
+	// EvalMany; compare-grid cells are not observed). The callback is
+	// invoked from parEach workers concurrently and must be safe for that.
+	// Replay results stay bit-identical (observation never changes cache
+	// state); the CLI paths leave this nil, so the unobserved fast paths
+	// are untouched there.
 	OnWindow func(obs.WindowFlush)
 	// Par bounds the environment's parallelism — both the experiment-level
 	// parEach fan-out and the replay engine's drive worker pool (the CLI's
@@ -247,16 +247,15 @@ func (e *Env) AppOpt(i int, cacheSize int, osPlan *oslayout.Plan) (*layout.Layou
 	return plan.Layout, nil
 }
 
-// Eval simulates workload i under the given layouts and cache.
+// Eval simulates workload i under the given layouts and cache, with the
+// live-progress observer attached when the environment carries the hook.
 func (e *Env) Eval(i int, osL, appL *layout.Layout, cfg cache.Config) (*simulate.Result, error) {
-	start := time.Now()
-	var r *simulate.Result
-	var err error
+	var progress []obs.Observer
 	if e.onWindow != nil {
-		r, err = e.St.EvaluateObserved(i, osL, appL, cfg, e.progressObserver(i, cfg))
-	} else {
-		r, err = e.St.Evaluate(i, osL, appL, cfg)
+		progress = []obs.Observer{e.progressObserver(i, cfg)}
 	}
+	start := time.Now()
+	r, err := e.St.Evaluate(i, osL, appL, cfg, progress...)
 	if err == nil {
 		e.recordReplay(i, start)
 	}
@@ -264,40 +263,17 @@ func (e *Env) Eval(i int, osL, appL *layout.Layout, cfg cache.Config) (*simulate
 }
 
 // EvalMany simulates workload i under the given layouts across many cache
-// organisations in one pass over the trace (simulate.RunMany). Sweeps batch
-// their grid points through this so parallelism (parEach) is across
-// trace-sharing batches rather than redundant replays. When the
-// environment carries a live-progress hook, the batch's first
-// configuration is driven with a streaming observer (results are
-// bit-identical either way).
-func (e *Env) EvalMany(i int, osL, appL *layout.Layout, cfgs []cache.Config) ([]*simulate.Result, error) {
-	start := time.Now()
-	var rs []*simulate.Result
-	var err error
-	if e.onWindow != nil && len(cfgs) > 0 {
-		observers := make([]obs.Observer, len(cfgs))
-		observers[0] = e.progressObserver(i, cfgs[0])
-		rs, err = e.St.EvaluateManyObserved(i, osL, appL, cfgs, observers)
-	} else {
-		rs, err = e.St.EvaluateMany(i, osL, appL, cfgs)
+// organisations in one pass over the trace (oslayout.Study.EvaluateMany),
+// so sweeps parallelise (parEach) across trace-sharing batches. A batch
+// bringing no observers or setups of its own gets the live-progress
+// observer on its first configuration when the environment has the hook.
+func (e *Env) EvalMany(i int, osL, appL *layout.Layout, cfgs []cache.Config, opt oslayout.ReplayOptions) ([]*simulate.Result, error) {
+	if e.onWindow != nil && len(cfgs) > 0 && opt.Observers == nil && opt.Setups == nil {
+		opt.Observers = make([]obs.Observer, len(cfgs))
+		opt.Observers[0] = e.progressObserver(i, cfgs[0])
 	}
-	if err == nil {
-		e.recordReplay(i, start)
-	}
-	return rs, err
-}
-
-// EvalManyObserved is EvalMany with optional per-configuration observers.
-func (e *Env) EvalManyObserved(i int, osL, appL *layout.Layout, cfgs []cache.Config, observers []obs.Observer) ([]*simulate.Result, error) {
-	return e.EvalManyConfigured(i, osL, appL, cfgs, observers, nil)
-}
-
-// EvalManyConfigured is EvalManyObserved with optional per-configuration
-// cache setups — the entry point for way-partitioned runs, whose
-// controllers bind to their cache before the replay starts.
-func (e *Env) EvalManyConfigured(i int, osL, appL *layout.Layout, cfgs []cache.Config, observers []obs.Observer, setups []oslayout.CacheSetup) ([]*simulate.Result, error) {
 	start := time.Now()
-	rs, err := e.St.EvaluateManyConfigured(i, osL, appL, cfgs, observers, setups)
+	rs, err := e.St.EvaluateMany(i, osL, appL, cfgs, opt)
 	if err == nil {
 		e.recordReplay(i, start)
 	}

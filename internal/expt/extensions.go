@@ -405,7 +405,7 @@ func (e *Env) RunReplacementPolicy() (*ReplacementPolicy, error) {
 	layouts := []*layout.Layout{e.Base(), plan.Layout}
 	if err := e.parEach(len(e.St.Data)*2, func(j int) error {
 		i, li := j/2, j%2
-		ress, err := e.EvalMany(i, layouts[li], nil, []cache.Config{lru, rnd})
+		ress, err := e.EvalMany(i, layouts[li], nil, []cache.Config{lru, rnd}, oslayout.ReplayOptions{})
 		if err != nil {
 			return err
 		}

@@ -13,7 +13,6 @@ import (
 	"oslayout/internal/layout"
 	"oslayout/internal/metrics"
 	"oslayout/internal/program"
-	"oslayout/internal/simulate"
 )
 
 // Overhead quantifies the paper's Section 4.3 remark that basic-block
@@ -120,14 +119,26 @@ func (e *Env) RunLineUtil() (*LineUtil, error) {
 	for li := range u.Util {
 		u.Util[li] = make([][3]float64, nw)
 	}
-	err = e.parEach(len(u.Lines)*nw*3, func(j int) error {
-		li, wi, k := j/(nw*3), (j/3)%nw, j%3
-		cfg := cache.Config{Size: 8 << 10, Line: u.Lines[li], Assoc: 1}
-		_, util, err := simulate.RunUtil(e.St.Data[wi].Trace, layouts[k], appLs[wi], cfg)
-		if err != nil {
+	// One batched replay per (workload, layout) covers every line size;
+	// each cache tracks utilization through its setup hook.
+	err = e.parEach(nw*3, func(j int) error {
+		wi, k := j/3, j%3
+		cfgs := make([]cache.Config, len(u.Lines))
+		caches := make([]*cache.Cache, len(u.Lines))
+		setups := make([]oslayout.CacheSetup, len(u.Lines))
+		for li, line := range u.Lines {
+			cfgs[li] = cache.Config{Size: 8 << 10, Line: line, Assoc: 1}
+			setups[li] = func(c *cache.Cache) error {
+				caches[li] = c
+				return c.EnableUtilization()
+			}
+		}
+		if _, err := e.EvalMany(wi, layouts[k], appLs[wi], cfgs, oslayout.ReplayOptions{Setups: setups}); err != nil {
 			return err
 		}
-		u.Util[li][wi][k] = util.Utilization()
+		for li, c := range caches {
+			u.Util[li][wi][k] = c.Util.Utilization()
+		}
 		return nil
 	})
 	if err != nil {

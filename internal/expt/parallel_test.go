@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"oslayout"
 	"oslayout/internal/cache"
 )
 
@@ -66,7 +67,7 @@ func TestParEachLowestError(t *testing.T) {
 // asserts the two passes are identical — the determinism contract the sweep
 // experiments rely on when they fan trace-sharing batches across cores.
 // Running the package under -race additionally checks the concurrent
-// RunMany calls share the trace, layout and program read-only.
+// replays share the trace, layout and program read-only.
 func TestBatchedSweepParallelDeterminism(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		old := runtime.GOMAXPROCS(4)
@@ -92,7 +93,7 @@ func TestBatchedSweepParallelDeterminism(t *testing.T) {
 	sweep := func() [][]cache.Stats {
 		out := make([][]cache.Stats, nw*reps)
 		err := parEach(nw*reps, func(j int) error {
-			ress, err := e.EvalMany(j%nw, base, nil, grid)
+			ress, err := e.EvalMany(j%nw, base, nil, grid, oslayout.ReplayOptions{})
 			if err != nil {
 				return err
 			}

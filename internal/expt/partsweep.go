@@ -119,7 +119,7 @@ func (e *Env) RunFigure18X() (*Figure18X, error) {
 			observers[r] = k
 			setups[r] = k.Bind
 		}
-		ress, err := e.EvalManyConfigured(i, plan.Layout, appOpts[i], cfgs, observers, setups)
+		ress, err := e.EvalMany(i, plan.Layout, appOpts[i], cfgs, oslayout.ReplayOptions{Observers: observers, Setups: setups})
 		if err != nil {
 			return err
 		}

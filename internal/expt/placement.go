@@ -302,7 +302,7 @@ func (e *Env) RunFigure14() (*Figure14, error) {
 			if err != nil {
 				return err
 			}
-			h := simulate.MissHistogram(res, trace.DomainOS, e.Base(), 1<<10)
+			h := simulate.HistogramOf(res.BlockMisses[trace.DomainOS], e.Base(), 1<<10)
 			if *dst == nil {
 				*dst = make([]uint64, len(h))
 			}

@@ -78,7 +78,7 @@ func (e *Env) RunFigure15() (*Figure15, error) {
 		for k, si := range tk.sis {
 			cfgs[k] = cache.Config{Size: f.Sizes[si], Line: 32, Assoc: 1}
 		}
-		ress, err := e.EvalMany(tk.wi, layoutsBySize[tk.sis[0]][tk.li], nil, cfgs)
+		ress, err := e.EvalMany(tk.wi, layoutsBySize[tk.sis[0]][tk.li], nil, cfgs, oslayout.ReplayOptions{})
 		if err != nil {
 			return err
 		}
@@ -188,7 +188,7 @@ func (e *Env) RunFigure16() (*Figure16, error) {
 		baseCfgs[si] = cache.Config{Size: size, Line: 32, Assoc: 1}
 	}
 	if err := e.parEach(nw, func(wi int) error {
-		ress, err := e.EvalMany(wi, base, nil, baseCfgs)
+		ress, err := e.EvalMany(wi, base, nil, baseCfgs, oslayout.ReplayOptions{})
 		if err != nil {
 			return err
 		}
@@ -294,7 +294,7 @@ func (e *Env) RunFigure17() (*Figure17, error) {
 	}
 	err = e.parEach(nw*3, func(j int) error {
 		wi, k := j/3, j%3
-		ress, err := e.EvalMany(wi, layouts[k], nil, cfgs)
+		ress, err := e.EvalMany(wi, layouts[k], nil, cfgs, oslayout.ReplayOptions{})
 		if err != nil {
 			return err
 		}

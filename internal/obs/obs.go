@@ -10,8 +10,8 @@
 //   - Observer / SimStats: a per-configuration replay hook collecting
 //     per-set occupancy and conflict histograms, eviction-provenance
 //     breakdowns, a windowed miss-rate time series over the trace, and the
-//     top-N conflicting line pairs. Attached at group-setup time by
-//     simulate.RunManyObserved; a nil observer costs nothing (the replay
+//     top-N conflicting line pairs. Attached at unit-setup time through
+//     simulate.Options.Observers; a nil observer costs nothing (the replay
 //     engine keeps its unobserved fast paths).
 //   - Recorder: scoped spans and counters timing study build, trace
 //     generation, per-strategy layout construction and replay throughput.

@@ -6,17 +6,18 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/obs"
+	"oslayout/internal/simtest"
 )
 
 // TestRunManyObserverNeutrality is the observer-neutrality guard: across
-// the mixed 11-config equivalence grid, RunMany with a recording observer
-// on every configuration and RunMany with nil observers must produce
+// the mixed 11-config equivalence grid, a replay with a recording observer
+// on every configuration and one with nil observers must produce
 // bit-identical Results — observation may only read, never perturb. The
-// cases also cover partial attachment (only some configs observed) and the
-// single-config RunObserved wrapper.
+// cases also cover partial attachment (only some configs observed) and
+// single-config observed replays checked against the reference.
 func TestRunManyObserverNeutrality(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	plain, err := RunMany(tr, osL, appL, equivalenceGrid)
+	plain, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +51,13 @@ func TestRunManyObserverNeutrality(t *testing.T) {
 					stats[i] = o.(*obs.SimStats)
 				}
 			}
-			observed, err := RunManyObserved(tr, osL, appL, equivalenceGrid, observers)
+			observed, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{Observers: observers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, cfg := range equivalenceGrid {
 				if !reflect.DeepEqual(plain[i], observed[i]) {
-					t.Errorf("%v: observed result differs from plain RunMany\n  plain:    %+v\n  observed: %+v",
+					t.Errorf("%v: observed result differs from plain replay\n  plain:    %+v\n  observed: %+v",
 						cfg, plain[i].Stats, observed[i].Stats)
 				}
 				s := stats[i]
@@ -96,22 +97,20 @@ func TestRunManyObserverNeutrality(t *testing.T) {
 		})
 	}
 
-	// RunObserved must match Run on the reference configuration.
+	// A single observed config must match the reference replay, and its
+	// observer must see exactly the reference's observer traffic: elided
+	// and chain-skipped accesses are hits, which observers never hear of.
 	for _, cfg := range equivalenceGrid[:3] {
-		one, err := Run(tr, osL, appL, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ob := obs.NewSimStats(0)
-		got, err := RunObserved(tr, osL, appL, cfg, ob)
-		if err != nil {
-			t.Fatal(err)
-		}
+		refObs := &seqObserver{}
+		one, _ := reference(t, tr, osL, appL, cfg, simtest.Options{Observer: refObs})
+		ob := &seqObserver{}
+		got := runOne(t, tr, osL, appL, cfg, Options{Observers: []obs.Observer{ob}})
 		if !reflect.DeepEqual(one, got) {
-			t.Errorf("%v: RunObserved differs from Run", cfg)
+			t.Errorf("%v: observed replay differs from the reference", cfg)
 		}
-		if ob.TotalMisses() != one.Stats.TotalMisses() {
-			t.Errorf("%v: RunObserved observer misses %d, want %d", cfg, ob.TotalMisses(), one.Stats.TotalMisses())
+		if ob.n != refObs.n || ob.digest != refObs.digest {
+			t.Errorf("%v: observer saw %d calls (digest %#x), reference observer %d (%#x)",
+				cfg, ob.n, ob.digest, refObs.n, refObs.digest)
 		}
 	}
 }
@@ -119,7 +118,7 @@ func TestRunManyObserverNeutrality(t *testing.T) {
 func TestRunManyObservedValidation(t *testing.T) {
 	tr, osL := conflictTrace(4)
 	cfgs := []cache.Config{{Size: 64, Line: 32, Assoc: 1}}
-	if _, err := RunManyObserved(tr, osL, nil, cfgs, make([]obs.Observer, 2)); err == nil {
+	if _, err := RunManyOpt(tr, osL, nil, cfgs, Options{Observers: make([]obs.Observer, 2)}); err == nil {
 		t.Error("mismatched observer count accepted")
 	}
 }
@@ -143,7 +142,7 @@ func BenchmarkRunManyNilObserver(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunManyObserved(tr, osL, appL, grid, nil); err != nil {
+		if _, err := RunManyOpt(tr, osL, appL, grid, Options{Observers: nil}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,10 +156,7 @@ func TestRunObservedWindowFlush(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
 	cfg := cache.Config{Size: 4 << 10, Line: 32, Assoc: 1}
 
-	plain, err := Run(tr, osL, appL, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, _ := reference(t, tr, osL, appL, cfg, simtest.Options{})
 
 	const windows = 8
 	s := obs.NewSimStats(windows)
@@ -170,10 +166,7 @@ func TestRunObservedWindowFlush(t *testing.T) {
 		idxs = append(idxs, idx)
 		flushed = append(flushed, w)
 	}
-	got, err := RunObserved(tr, osL, appL, cfg, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runOne(t, tr, osL, appL, cfg, Options{Observers: []obs.Observer{s}})
 	if !reflect.DeepEqual(plain, got) {
 		t.Error("window-flush hook perturbed the replay result")
 	}

@@ -9,6 +9,7 @@ import (
 	"oslayout/internal/layout"
 	"oslayout/internal/obs"
 	"oslayout/internal/partition"
+	"oslayout/internal/simtest"
 	"oslayout/internal/trace"
 )
 
@@ -30,10 +31,10 @@ func partitionedGrid() []cache.Config {
 // TestPartitionNeutralityAndWorkers drives the equivalence grid plus
 // partitioned configs through every engine mode (materialised and streamed,
 // workers 1/2/8) and checks all runs are bit-identical to the sequential
-// materialised reference — partitioned caches are single drive units, so
-// parallel fan-out must not perturb them, and unpartitioned configs must be
-// byte-for-byte what they were before the partition refactor (they share
-// the batch with partitioned ones here).
+// materialised replay, which in turn matches the per-config reference —
+// partitioned caches are single drive units, so parallel fan-out must not
+// perturb them, and unpartitioned configs sharing the batch with
+// partitioned ones must be unaffected by them.
 func TestPartitionNeutralityAndWorkers(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 99)
 	cfgs := partitionedGrid()
@@ -42,14 +43,8 @@ func TestPartitionNeutralityAndWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		if !cfg.Part.Enabled() {
-			one, err := Run(tr, osL, appL, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(one, want[i]) {
-				t.Errorf("%v: batched result differs from direct Run", cfg)
-			}
+		if one, _ := reference(t, tr, osL, appL, cfg, simtest.Options{}); !reflect.DeepEqual(one, want[i]) {
+			t.Errorf("%v: batched result differs from the reference", cfg)
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
@@ -122,16 +117,13 @@ func TestPartitionedSplitMatchesLegacyTwoCache(t *testing.T) {
 
 	combined := cache.Config{Size: 2 << 10, Line: 32, Assoc: 2,
 		Part: cache.Partition{OSWays: 1, AppWays: 1}}
-	got, err := RunMany(tr, osL, appL, []cache.Config{combined})
-	if err != nil {
-		t.Fatal(err)
+	got := runOne(t, tr, osL, appL, combined, Options{})
+	if got.Stats != legacy.Stats {
+		t.Fatalf("partitioned stats %+v, legacy two-cache %+v", got.Stats, legacy.Stats)
 	}
-	if got[0].Stats != legacy.Stats {
-		t.Fatalf("partitioned stats %+v, legacy two-cache %+v", got[0].Stats, legacy.Stats)
-	}
-	if !reflect.DeepEqual(got[0].BlockMisses, legacy.BlockMisses) ||
-		!reflect.DeepEqual(got[0].BlockSelf, legacy.BlockSelf) ||
-		!reflect.DeepEqual(got[0].BlockCross, legacy.BlockCross) {
+	if !reflect.DeepEqual(got.BlockMisses, legacy.BlockMisses) ||
+		!reflect.DeepEqual(got.BlockSelf, legacy.BlockSelf) ||
+		!reflect.DeepEqual(got.BlockCross, legacy.BlockCross) {
 		t.Fatal("partitioned per-block miss attribution differs from legacy two-cache replay")
 	}
 }
@@ -139,7 +131,8 @@ func TestPartitionedSplitMatchesLegacyTwoCache(t *testing.T) {
 // TestDynamicPartitionStreamedMatchesMaterialised checks a dynamic
 // repartitioning controller is deterministic across engine modes: windows
 // are event-count based, so a streamed replay repartitions at exactly the
-// same points as a materialised one, at any worker count.
+// same points as a materialised one, at any worker count — and as the
+// reference replay, whose controller hears the same event and miss traffic.
 func TestDynamicPartitionStreamedMatchesMaterialised(t *testing.T) {
 	tr, osL, appL := mixedTrace(40_000, 13)
 	sp, err := partition.Parse("interval,every=2,grain=1")
@@ -174,6 +167,12 @@ func TestDynamicPartitionStreamedMatchesMaterialised(t *testing.T) {
 	want := do(tr, 1)
 	if want.ctrl.Events().Events == 0 {
 		t.Fatal("controller never repartitioned; the scenario exercises nothing")
+	}
+	refCtrl := partition.NewController(sp, 16, nil)
+	ref, _ := reference(t, tr, osL, appL, cfg, simtest.Options{Setup: refCtrl.Bind, Observer: refCtrl})
+	if !reflect.DeepEqual(want.res, ref) || want.ctrl.Final() != refCtrl.Final() || want.ctrl.Events() != refCtrl.Events() {
+		t.Errorf("engine differs from the reference replay (final %v vs %v, events %+v vs %+v)",
+			want.ctrl.Final(), refCtrl.Final(), want.ctrl.Events(), refCtrl.Events())
 	}
 	for _, workers := range []int{2, 8} {
 		for _, streamed := range []bool{false, true} {

@@ -88,7 +88,7 @@ func (cc *chunkCompiler) compile(attrs []uint32, lw *lineWindow) error {
 // never materialised would defeat the memory bound, which is the reason
 // streaming was selected.
 func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config,
-	caches []*cache.Cache, results []*Result, obsAt func(int) obs.Observer,
+	caches []*cache.Cache, results []*Result, observers []obs.Observer,
 	lineSizes []int, units []driveUnit, opt Options) ([]*Result, error) {
 
 	compilers := make([]*chunkCompiler, len(lineSizes))
@@ -108,7 +108,7 @@ func runManyStreamed(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Conf
 
 	tot := t.Summarize()
 	for i := range cfgs {
-		if o := obsAt(i); o != nil {
+		if o := observers[i]; o != nil {
 			o.Begin(cfgs[i], tot.Blocks)
 			caches[i].SetEvictionHook(o.Evict)
 		}

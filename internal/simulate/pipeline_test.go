@@ -7,6 +7,7 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/obs"
+	"oslayout/internal/simtest"
 )
 
 // TestStreamedMatchesMaterialised is the pipeline's acceptance test:
@@ -16,7 +17,7 @@ import (
 // worker count.
 func TestStreamedMatchesMaterialised(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	want, err := RunMany(tr, osL, appL, equivalenceGrid)
+	want, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,36 +88,23 @@ func TestStreamedObservedMatchesMaterialised(t *testing.T) {
 	}
 }
 
-// TestStreamedSingleConfigPaths checks the single-cache replay entry points
-// (Run, RunUtil) accept header-only traces and match their materialised
-// results exactly. (The paper's Sep/Resv setups are now way partitions of
-// one cache, exercised by partition_test.go.)
+// TestStreamedSingleConfigPaths checks single-cache replays, plain and
+// with utilization tracking, accept header-only traces and match the
+// reference replay exactly. (The paper's Sep/Resv setups are way
+// partitions of one cache, exercised by partition_test.go.)
 func TestStreamedSingleConfigPaths(t *testing.T) {
 	tr, osL, appL := mixedTrace(12_000, 11)
 	view := tr.ChunkView(1 << 10)
 	cfg := cache.Config{Size: 1 << 10, Line: 32, Assoc: 1}
 
-	wantRun, err := Run(tr, osL, appL, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRun, err := Run(view, osL, appL, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantRun, gotRun) {
-		t.Errorf("Run: streamed differs from materialised")
+	wantRun, _ := reference(t, tr, osL, appL, cfg, simtest.Options{})
+	if gotRun := runOne(t, view, osL, appL, cfg, Options{}); !reflect.DeepEqual(wantRun, gotRun) {
+		t.Errorf("plain replay: streamed differs from the reference")
 	}
 
-	wantUtil, wantU, err := RunUtil(tr, osL, appL, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotUtil, gotU, err := RunUtil(view, osL, appL, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantUtil, wantU := reference(t, tr, osL, appL, cfg, simtest.Options{Setup: (*cache.Cache).EnableUtilization})
+	gotUtil, gotU := runUtil(t, view, osL, appL, cfg, 1)
 	if !reflect.DeepEqual(wantUtil, gotUtil) || wantU != gotU {
-		t.Errorf("RunUtil: streamed differs from materialised")
+		t.Errorf("utilization replay: streamed differs from the reference")
 	}
 }

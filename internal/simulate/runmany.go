@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
 	"oslayout/internal/obs"
+	"oslayout/internal/program"
 	"oslayout/internal/trace"
 )
 
@@ -26,22 +28,24 @@ type runner struct {
 // bind repartitioning policies (internal/partition).
 type CacheSetup func(*cache.Cache) error
 
-// Options tunes a RunManyOpt replay. The zero value reproduces RunMany
-// exactly: no observers, no setups, direct compilation, sequential drive.
+// Options tunes a RunManyOpt replay. The zero value compiles the trace
+// directly and drives every config sequentially, with no observers and no
+// setups.
 type Options struct {
 	// Observers, when non-nil, must match the configs in length;
 	// Observers[i] (which may be nil) watches config i's replay.
 	Observers []obs.Observer
 	// Setups, when non-nil, must match the configs in length; Setups[i]
 	// (which may be nil) runs on config i's cache after construction and
-	// before any access. A partitioned cache is always one drive unit of
-	// its own (it is never direct-mapped), so mid-replay repartitioning
-	// installed here stays bit-identical at any worker count.
+	// before any access: partition controllers install reserved lines and
+	// repartitioning policies here, and (*cache.Cache).EnableUtilization
+	// switches on line-utilization tracking. Neither kind of cache joins an
+	// inclusion chain, so both stay bit-identical at any worker count.
 	Setups []CacheSetup
 	// Streams supplies compiled line streams; nil compiles directly,
 	// sharing one trace decode across the call's line sizes. A memoizing
 	// source (internal/streamcache) additionally shares compilations across
-	// RunMany calls.
+	// calls.
 	Streams StreamSource
 	// Workers bounds the drive worker pool. Values <= 1 select the
 	// sequential path: one pass per line-size group driving every cache of
@@ -54,45 +58,15 @@ type Options struct {
 	Workers int
 }
 
-// RunMany is the single-pass multi-configuration engine: where repeated Run
-// calls replay the trace once per cache organisation — re-decoding every
-// event and re-resolving every block address each time — RunMany compiles
-// the trace once per distinct line size into a flat pre-elided line stream
-// (see Compile) and drives all caches sharing that line size from it (in
-// the spirit of Hill & Smith's all-associativity and the Cheetah-style
-// single-pass simulators cited by the paper's successors). It returns one
-// Result per config in order, each bit-identical to the one the equivalent
-// Run call produces. appL may be nil when the trace has no application.
-func RunMany(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config) ([]*Result, error) {
-	return RunManyOpt(t, osL, appL, cfgs, Options{})
-}
-
-// RunObserved is Run with an attached observer: the replay additionally
-// reports every trace event, classified miss and eviction to o, from which
-// collectors like obs.SimStats derive per-set conflict histograms,
-// provenance breakdowns, windowed miss-rate series and conflicting line
-// pairs. The returned Result is bit-identical to Run's.
-func RunObserved(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config, o obs.Observer) (*Result, error) {
-	ress, err := RunManyOpt(t, osL, appL, []cache.Config{cfg}, Options{Observers: []obs.Observer{o}})
-	if err != nil {
-		return nil, err
-	}
-	return ress[0], nil
-}
-
-// RunManyObserved is RunMany with optional per-configuration observers.
-func RunManyObserved(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, observers []obs.Observer) ([]*Result, error) {
-	return RunManyOpt(t, osL, appL, cfgs, Options{Observers: observers})
-}
-
-// RunManyOpt is the full-control entry point of the engine: RunMany plus
-// per-config observers, a pluggable stream source and a bounded parallel
-// drive. Observation is gated at unit-setup time — a unit whose
-// configurations carry no observer runs through exactly the unobserved
-// drive loop, so the nil case stays bit-identical and pays nothing per
-// access. Observed units keep the repeat-elision and inclusion-chain fast
-// paths: both elide only hits, which change no state, so every miss-derived
-// metric the observers see is exact.
+// RunManyOpt is the replay engine: it compiles the trace once per distinct
+// line size into a flat pre-elided line stream (see CompileEvents) and
+// drives all caches sharing that line size from it, in the spirit of Hill
+// & Smith's all-associativity and the Cheetah-style single-pass simulators.
+// It returns one Result per config in order. appL may be nil when the trace
+// has no application. Observation and utilization tracking are gated at
+// unit setup, so a unit carrying neither runs the plain drive loop. Both
+// elision rules skip only hits, which change no state, so every
+// miss-derived metric an observer sees is exact.
 func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, opt Options) ([]*Result, error) {
 	observers := opt.Observers
 	if observers != nil && len(observers) != len(cfgs) {
@@ -104,11 +78,8 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 	if err := checkLayouts(t, osL, appL); err != nil {
 		return nil, err
 	}
-	obsAt := func(i int) obs.Observer {
-		if observers == nil {
-			return nil
-		}
-		return observers[i]
+	if observers == nil {
+		observers = make([]obs.Observer, len(cfgs))
 	}
 	results := make([]*Result, len(cfgs))
 	caches := make([]*cache.Cache, len(cfgs))
@@ -140,12 +111,12 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 		}
 		byLine[cfg.Line] = append(byLine[cfg.Line], i)
 	}
-	units := buildUnits(lineSizes, byLine, caches, results, obsAt, opt.Workers)
+	units := buildUnits(lineSizes, byLine, caches, results, observers, [trace.NumDomains]*layout.Layout{osL, appL}, opt.Workers)
 
 	// Header-only traces replay through the chunked pipeline: the stream is
 	// regenerated, compiled and driven window by window, never materialised.
 	if t.Streaming() {
-		return runManyStreamed(t, osL, appL, cfgs, caches, results, obsAt, lineSizes, units, opt)
+		return runManyStreamed(t, osL, appL, cfgs, caches, results, observers, lineSizes, units, opt)
 	}
 
 	streams := make([]*Stream, len(lineSizes))
@@ -171,7 +142,7 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 	refs := streams[0].Events().Refs()
 	numEvents := streams[0].Events().NumEvents()
 	for i := range cfgs {
-		if o := obsAt(i); o != nil {
+		if o := observers[i]; o != nil {
 			o.Begin(cfgs[i], numEvents)
 			caches[i].SetEvictionHook(o.Evict)
 		}
@@ -201,17 +172,23 @@ func RunManyOpt(t *trace.Trace, osL, appL *layout.Layout, cfgs []cache.Config, o
 // so the larger members can be skipped outright. The chain is therefore one
 // sequential unit; every other geometry is independent and becomes its own
 // unit. With workers <= 1 the whole group is one unit, driven in a single
-// pass exactly as before.
+// pass. A utilization-tracking cache is always a unit of its own: its word
+// marking must see every hit, so no chain may skip it.
 func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
-	results []*Result, obsAt func(int) obs.Observer, workers int) []driveUnit {
+	results []*Result, observers []obs.Observer, layouts [trace.NumDomains]*layout.Layout, workers int) []driveUnit {
 
 	var units []driveUnit
 	for k, ls := range lineSizes {
 		var chainIdx, restIdx []int
 		for _, i := range byLine[ls] {
-			if caches[i].DirectMappedPow2() {
+			switch c := caches[i]; {
+			case c.UtilizationEnabled():
+				u := newDriveUnit(k, nil, []runner{{c.AccessFunc(), results[i], observers[i]}})
+				u.util, u.layouts = c, layouts
+				units = append(units, u)
+			case c.DirectMappedPow2():
 				chainIdx = append(chainIdx, i)
-			} else {
+			default:
 				restIdx = append(restIdx, i)
 			}
 		}
@@ -221,7 +198,7 @@ func buildUnits(lineSizes []int, byLine map[int][]int, caches []*cache.Cache,
 		mkRunners := func(idx []int) []runner {
 			rs := make([]runner, len(idx))
 			for k, i := range idx {
-				rs[k] = runner{caches[i].AccessFunc(), results[i], obsAt(i)}
+				rs[k] = runner{caches[i].AccessFunc(), results[i], observers[i]}
 			}
 			return rs
 		}
@@ -277,6 +254,11 @@ type driveUnit struct {
 	// ws caches the unit's non-nil observers, in config order; computed once
 	// at build time so per-window dispatch allocates nothing.
 	ws []obs.Observer
+	// util, when non-nil, is the unit's single utilization-tracking cache
+	// (its runner is rest[0]); its word marking reads block extents off
+	// layouts.
+	util    *cache.Cache
+	layouts [trace.NumDomains]*layout.Layout
 }
 
 func newDriveUnit(lineIdx int, chain, rest []runner) driveUnit {
@@ -291,13 +273,16 @@ func newDriveUnit(lineIdx int, chain, rest []runner) driveUnit {
 	return u
 }
 
-// drive replays one window through the unit's caches, picking the observed
-// walk only when the unit actually carries an observer.
+// drive replays one window through the unit's caches, picking the
+// utilization or observed walk only when the unit actually needs it.
 func (u *driveUnit) drive(d *unitData) {
 	lw := &d.lines[u.lineIdx]
-	if u.ws != nil {
+	switch {
+	case u.util != nil:
+		driveWindowUtil(d.attrs, lw.eventEnd, lw.accs, d.refsTab, u.layouts, &u.rest[0], u.util)
+	case u.ws != nil:
 		driveWindowObserved(d.attrs, lw.eventEnd, lw.accs, d.refsTab, u.chain, u.rest, u.ws)
-	} else {
+	default:
 		driveWindow(lw.accs, u.chain, u.rest)
 	}
 }
@@ -409,6 +394,57 @@ func driveWindowObserved(attrs []uint32, eventEnd []uint32, accs []uint64,
 					}
 				}
 			}
+		}
+		start = end
+	}
+}
+
+// driveWindowUtil replays one window through a single utilization-tracking
+// cache, marking each line's fetched words right after its access, before
+// the next line evicts it (a block may span more lines than the cache has
+// sets). Elision can only drop an event's first line, a repeat of the line
+// just accessed and so still MRU: its words are marked in place. The
+// observer, when present, sees exactly the driveWindowObserved traffic.
+func driveWindowUtil(attrs []uint32, eventEnd []uint32, accs []uint64,
+	refsTab [trace.NumDomains][]uint64, layouts [trace.NumDomains]*layout.Layout, r *runner, c *cache.Cache) {
+
+	lineSize := uint64(c.Config().Line)
+	shift := uint(bits.TrailingZeros64(lineSize))
+	lastWord := int(lineSize)/trace.WordSize - 1
+	start := uint32(0)
+	for i, a := range attrs {
+		d := trace.Domain(a >> eventDomainShift)
+		b := a & (1<<eventDomainShift - 1)
+		if r.obs != nil {
+			r.obs.Event(d, b, refsTab[d][b])
+		}
+		l := layouts[d]
+		addr := l.Addr[b]
+		blockEnd := addr + uint64(l.Prog.Block(program.BlockID(b)).Size)
+		first, last := addr>>shift, (blockEnd-1)>>shift
+		mark := func(line uint64) {
+			from, to := 0, lastWord
+			if line == first {
+				from = int(addr&(lineSize-1)) / trace.WordSize
+			}
+			if line == last {
+				to = int((blockEnd-1)&(lineSize-1)) / trace.WordSize
+			}
+			c.MarkWords(line, from, to)
+		}
+		end := eventEnd[i]
+		if uint64(end-start) < last+1-first {
+			mark(first)
+		}
+		for j := start; j < end; j++ {
+			line := accs[j] & streamLineMask
+			if cl := r.access(line, d); cl != cache.Hit {
+				recordMiss(r.res, cl, d, b)
+				if r.obs != nil {
+					r.obs.Miss(line, d, cl, b)
+				}
+			}
+			mark(line)
 		}
 		start = end
 	}

@@ -8,13 +8,14 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
 	"oslayout/internal/program"
+	"oslayout/internal/simtest"
 	"oslayout/internal/trace"
 )
 
 // mixedTrace builds a representative two-domain trace: an OS program and an
 // application program with varied block sizes (1 to 5 lines each at 32B),
 // a locality-skewed random event stream, and invocation markers sprinkled
-// in (RunMany must skip them exactly like Run does).
+// in (the engine must skip them exactly like the reference does).
 func mixedTrace(events int, seed int64) (*trace.Trace, *layout.Layout, *layout.Layout) {
 	sizes := []int32{4, 8, 12, 20, 32, 36, 64, 100, 144, 8, 16, 24, 60}
 	build := func(name string, n int) *program.Program {
@@ -57,7 +58,7 @@ func mixedTrace(events int, seed int64) (*trace.Trace, *layout.Layout, *layout.L
 var equivalenceGrid = []cache.Config{
 	{Size: 1 << 10, Line: 16, Assoc: 1},
 	// Nested direct-mapped power-of-two sizes at one line size, listed out
-	// of order: these form the inclusion chain inside RunMany.
+	// of order: these form the engine's inclusion chain.
 	{Size: 4 << 10, Line: 32, Assoc: 1},
 	{Size: 1 << 10, Line: 32, Assoc: 1},
 	{Size: 2 << 10, Line: 32, Assoc: 1},
@@ -70,9 +71,11 @@ var equivalenceGrid = []cache.Config{
 	{Size: 4 << 10, Line: 256, Assoc: 2},
 }
 
+// TestRunManyMatchesIndividualRuns checks one batched replay of the mixed
+// grid against the naive per-config reference replay.
 func TestRunManyMatchesIndividualRuns(t *testing.T) {
 	tr, osL, appL := mixedTrace(30_000, 42)
-	many, err := RunMany(tr, osL, appL, equivalenceGrid)
+	many, err := RunManyOpt(tr, osL, appL, equivalenceGrid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +83,9 @@ func TestRunManyMatchesIndividualRuns(t *testing.T) {
 		t.Fatalf("got %d results for %d configs", len(many), len(equivalenceGrid))
 	}
 	for i, cfg := range equivalenceGrid {
-		one, err := Run(tr, osL, appL, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		one, _ := reference(t, tr, osL, appL, cfg, simtest.Options{})
 		if !reflect.DeepEqual(one, many[i]) {
-			t.Errorf("%v: RunMany result differs from Run\n  Run:     %+v\n  RunMany: %+v",
+			t.Errorf("%v: batched result differs from the reference\n  ref:     %+v\n  batched: %+v",
 				cfg, one.Stats, many[i].Stats)
 		}
 		if many[i].Stats.TotalMisses() == 0 {
@@ -101,15 +101,12 @@ func TestRunManyOSOnlyTrace(t *testing.T) {
 		{Size: 128, Line: 32, Assoc: 1},
 		{Size: 64, Line: 64, Assoc: 1},
 	}
-	many, err := RunMany(tr, osL, nil, cfgs)
+	many, err := RunManyOpt(tr, osL, nil, cfgs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		one, err := Run(tr, osL, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		one, _ := reference(t, tr, osL, nil, cfg, simtest.Options{})
 		if !reflect.DeepEqual(one, many[i]) {
 			t.Errorf("%v: mismatch (many %+v, one %+v)", cfg, many[i].Stats, one.Stats)
 		}
@@ -122,16 +119,66 @@ func TestRunManyOSOnlyTrace(t *testing.T) {
 
 func TestRunManyValidation(t *testing.T) {
 	tr, osL := conflictTrace(2)
-	if _, err := RunMany(tr, osL, nil, []cache.Config{{Size: 100, Line: 32, Assoc: 1}}); err == nil {
+	if _, err := RunManyOpt(tr, osL, nil, []cache.Config{{Size: 100, Line: 32, Assoc: 1}}, Options{}); err == nil {
 		t.Error("invalid config accepted")
 	}
 	other, _, _ := mixedTrace(10, 1)
 	foreign := layout.NewBase(other.OS, 0)
-	if _, err := RunMany(tr, foreign, nil, []cache.Config{{Size: 64, Line: 32, Assoc: 1}}); err == nil {
+	if _, err := RunManyOpt(tr, foreign, nil, []cache.Config{{Size: 64, Line: 32, Assoc: 1}}, Options{}); err == nil {
 		t.Error("foreign layout accepted")
 	}
-	res, err := RunMany(tr, osL, nil, nil)
+	res, err := RunManyOpt(tr, osL, nil, nil, Options{})
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty config list: res=%v err=%v", res, err)
+	}
+}
+
+// TestUtilizationMatchesReference tracks line utilization on every other
+// config of the partitioned grid — plus a 4-set cache whose longest blocks
+// span more lines than it has sets — through materialised and streamed
+// replays at 1 and 4 workers. Every result, and every tracked cache's
+// utilization account, must match the reference replay; untracked configs
+// sharing the batch must be unaffected.
+func TestUtilizationMatchesReference(t *testing.T) {
+	tr, osL, appL := mixedTrace(20_000, 17)
+	cfgs := append(partitionedGrid(), cache.Config{Size: 64, Line: 16, Assoc: 1})
+	want := make([]*Result, len(cfgs))
+	wantU := make([]cache.UtilStats, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i], wantU[i] = reference(t, tr, osL, appL, cfg, simtest.Options{Setup: (*cache.Cache).EnableUtilization})
+	}
+	if wantU[len(cfgs)-1].Evictions == 0 {
+		t.Fatal("the 4-set cache evicted nothing; the scenario exercises nothing")
+	}
+	for _, workers := range []int{1, 4} {
+		for _, streamed := range []bool{false, true} {
+			src := tr
+			if streamed {
+				src = tr.ChunkView(1 << 10)
+			}
+			caches := make([]*cache.Cache, len(cfgs))
+			setups := make([]CacheSetup, len(cfgs))
+			for i := range cfgs {
+				if i%2 == 0 {
+					setups[i] = func(c *cache.Cache) error {
+						caches[i] = c
+						return c.EnableUtilization()
+					}
+				}
+			}
+			got, err := RunManyOpt(src, osL, appL, cfgs, Options{Setups: setups, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range cfgs {
+				if !reflect.DeepEqual(want[i], got[i]) {
+					t.Errorf("workers=%d streamed=%v %v: result differs from the reference", workers, streamed, cfg)
+				}
+				if caches[i] != nil && caches[i].Util != wantU[i] {
+					t.Errorf("workers=%d streamed=%v %v: utilization %+v, reference %+v",
+						workers, streamed, cfg, caches[i].Util, wantU[i])
+				}
+			}
+		}
 	}
 }

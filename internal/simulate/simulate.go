@@ -35,113 +35,6 @@ type Result struct {
 // addresses").
 const AppBase = trace.AppBase
 
-// Run replays the trace through one cache under the given layouts. appL may
-// be nil when the trace has no application.
-func Run(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Result, error) {
-	c, err := cache.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := run(t, osL, appL, c, false)
-	if err != nil {
-		return nil, err
-	}
-	res.Config = cfg
-	res.Stats = c.Stats
-	return res, nil
-}
-
-// RunUtil is Run with cache-line utilization tracking enabled: it
-// additionally reports, over evicted lines, the mean fraction of line words
-// fetched while resident — the spatial-locality exploitation that makes
-// layout gains grow with line size (Figure 17-a).
-func RunUtil(t *trace.Trace, osL, appL *layout.Layout, cfg cache.Config) (*Result, cache.UtilStats, error) {
-	c, err := cache.New(cfg)
-	if err != nil {
-		return nil, cache.UtilStats{}, err
-	}
-	if err := c.EnableUtilization(); err != nil {
-		return nil, cache.UtilStats{}, err
-	}
-	res, err := run(t, osL, appL, c, true)
-	if err != nil {
-		return nil, cache.UtilStats{}, err
-	}
-	res.Config = cfg
-	res.Stats = c.Stats
-	return res, c.Util, nil
-}
-
-// run is the common replay loop over a single cache; util marks the fetched
-// words for line-utilization tracking. The paper's Sep and Resv hardware
-// alternatives, formerly separate two-cache replay loops here, are now
-// expressed as way partitions of one cache (cache.Partition) and replayed by
-// the compiled-stream engine.
-func run(t *trace.Trace, osL, appL *layout.Layout, c *cache.Cache, util bool) (*Result, error) {
-
-	if err := checkLayouts(t, osL, appL); err != nil {
-		return nil, err
-	}
-	res := newResult(t, osL)
-
-	// Iterate in windows so header-only traces replay in O(chunk) memory;
-	// cache and routing state plainly carries across window boundaries.
-	r := t.Chunks()
-	for {
-		batch, rerr := r.Read()
-		if rerr != nil {
-			return nil, rerr
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, e := range batch {
-			if !e.IsBlock() {
-				continue
-			}
-			d := e.Domain()
-			b := e.Block()
-			var l *layout.Layout
-			var p *program.Program
-			if d == trace.DomainOS {
-				l, p = osL, t.OS
-			} else {
-				l, p = appL, t.App
-			}
-			addr := l.Addr[b]
-			size := p.Block(b).Size
-			c.Stats.Refs[d] += trace.RefsOf(size)
-			startLine := c.LineOf(addr)
-			endLine := c.LineOf(addr + uint64(size) - 1)
-			for line := startLine; line <= endLine; line++ {
-				switch c.AccessLine(line, d) {
-				case cache.SelfMiss:
-					res.BlockMisses[d][b]++
-					res.BlockSelf[d][b]++
-				case cache.CrossMiss:
-					res.BlockMisses[d][b]++
-					res.BlockCross[d][b]++
-				case cache.ColdMiss:
-					res.BlockMisses[d][b]++
-				}
-				if util {
-					lineBase := line * uint64(c.Config().Line)
-					from := 0
-					if addr > lineBase {
-						from = int(addr-lineBase) / trace.WordSize
-					}
-					to := c.Config().Line/trace.WordSize - 1
-					if end := addr + uint64(size); end < lineBase+uint64(c.Config().Line) {
-						to = int(end-1-lineBase) / trace.WordSize
-					}
-					c.MarkWords(line, from, to)
-				}
-			}
-		}
-	}
-	return res, nil
-}
-
 // checkLayouts validates that the layouts match the trace's programs.
 func checkLayouts(t *trace.Trace, osL, appL *layout.Layout) error {
 	if osL.Prog != t.OS {
@@ -168,29 +61,10 @@ func newResult(t *trace.Trace, osL *layout.Layout) *Result {
 	return res
 }
 
-// MissHistogram aggregates per-block misses into address-range buckets of
-// the given width under a reference layout (the paper plots misses against
-// Base-layout virtual addresses even for optimised layouts, Figure 14).
-func MissHistogram(res *Result, d trace.Domain, ref *layout.Layout, bucket uint64) []uint64 {
-	if bucket == 0 {
-		bucket = 1 << 10
-	}
-	n := (ref.End() - ref.Base + bucket - 1) / bucket
-	h := make([]uint64, n)
-	for b, m := range res.BlockMisses[d] {
-		if m == 0 {
-			continue
-		}
-		idx := (ref.Addr[b] - ref.Base) / bucket
-		if idx < uint64(len(h)) {
-			h[idx] += m
-		}
-	}
-	return h
-}
-
-// HistogramOf aggregates an arbitrary per-block count slice into
-// address-range buckets under a reference layout.
+// HistogramOf aggregates a per-block count slice (misses, say, or
+// references) into address-range buckets of the given width under a
+// reference layout: the paper plots misses against Base-layout virtual
+// addresses even for optimised layouts (Figure 14).
 func HistogramOf(perBlock []uint64, ref *layout.Layout, bucket uint64) []uint64 {
 	if bucket == 0 {
 		bucket = 1 << 10
@@ -212,20 +86,9 @@ func HistogramOf(perBlock []uint64, ref *layout.Layout, bucket uint64) []uint64 
 // RefHistogram aggregates per-block references into address-range buckets
 // under a reference layout (Figure 2).
 func RefHistogram(p *program.Program, ref *layout.Layout, bucket uint64) []uint64 {
-	if bucket == 0 {
-		bucket = 1 << 10
-	}
-	n := (ref.End() - ref.Base + bucket - 1) / bucket
-	h := make([]uint64, n)
+	refs := make([]uint64, len(p.Blocks))
 	for b := range p.Blocks {
-		blk := &p.Blocks[b]
-		if blk.Weight == 0 {
-			continue
-		}
-		idx := (ref.Addr[b] - ref.Base) / bucket
-		if idx < uint64(len(h)) {
-			h[idx] += blk.Weight * trace.RefsOf(blk.Size)
-		}
+		refs[b] = p.Blocks[b].Weight * trace.RefsOf(p.Blocks[b].Size)
 	}
-	return h
+	return HistogramOf(refs, ref, bucket)
 }

@@ -6,8 +6,51 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
 	"oslayout/internal/progtest"
+	"oslayout/internal/simtest"
 	"oslayout/internal/trace"
 )
+
+// runOne replays one configuration through the engine.
+func runOne(t testing.TB, tr *trace.Trace, osL, appL *layout.Layout, cfg cache.Config, opt Options) *Result {
+	t.Helper()
+	ress, err := RunManyOpt(tr, osL, appL, []cache.Config{cfg}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ress[0]
+}
+
+// runUtil replays one configuration through the engine with line
+// utilization tracking switched on, returning the cache's account.
+func runUtil(t testing.TB, tr *trace.Trace, osL, appL *layout.Layout, cfg cache.Config, workers int) (*Result, cache.UtilStats) {
+	t.Helper()
+	var c *cache.Cache
+	track := func(cc *cache.Cache) error {
+		c = cc
+		return cc.EnableUtilization()
+	}
+	res := runOne(t, tr, osL, appL, cfg, Options{Setups: []CacheSetup{track}, Workers: workers})
+	return res, c.Util
+}
+
+// reference replays one configuration through the naive simtest.RefReplay
+// and packs the outcome as the engine's Result, so an equivalence check is
+// one reflect.DeepEqual.
+func reference(t testing.TB, tr *trace.Trace, osL, appL *layout.Layout, cfg cache.Config, opt simtest.Options) (*Result, cache.UtilStats) {
+	t.Helper()
+	ref, err := simtest.RefReplay(tr, osL, appL, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Result{
+		LayoutName:  osL.Name,
+		Config:      cfg,
+		Stats:       ref.Stats,
+		BlockMisses: ref.BlockMisses,
+		BlockSelf:   ref.BlockSelf,
+		BlockCross:  ref.BlockCross,
+	}, ref.Util
+}
 
 // conflictTrace builds a two-block OS program whose blocks conflict in a
 // tiny direct-mapped cache, and a trace alternating between them.
@@ -27,10 +70,7 @@ func conflictTrace(reps int) (*trace.Trace, *layout.Layout) {
 
 func TestRunCountsConflictMisses(t *testing.T) {
 	tr, l := conflictTrace(10)
-	res, err := Run(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOne(t, tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, Options{})
 	// 20 block events, each one line: 2 cold + 18 self-conflict misses.
 	st := &res.Stats
 	if st.Misses[trace.DomainOS] != 20 {
@@ -57,10 +97,7 @@ func TestRunNoConflictAfterRelayout(t *testing.T) {
 	l := layout.New("fixed", tr.OS, 0)
 	l.Place(0, 0)
 	l.Place(1, 32) // adjacent: different sets
-	res, err := Run(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOne(t, tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, Options{})
 	if res.Stats.Misses[trace.DomainOS] != 2 {
 		t.Fatalf("misses = %d, want 2 cold only", res.Stats.Misses[trace.DomainOS])
 	}
@@ -71,10 +108,7 @@ func TestRunBlockSpanningLines(t *testing.T) {
 	l := layout.NewBase(p, 0)
 	tr := &trace.Trace{Name: "t", OS: p,
 		Events: []trace.Event{trace.BlockEvent(trace.DomainOS, 0)}}
-	res, err := Run(tr, l, nil, cache.Config{Size: 1 << 10, Line: 32, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOne(t, tr, l, nil, cache.Config{Size: 1 << 10, Line: 32, Assoc: 1}, Options{})
 	if res.Stats.Misses[trace.DomainOS] != 2 {
 		t.Fatalf("misses = %d, want 2 (two lines)", res.Stats.Misses[trace.DomainOS])
 	}
@@ -89,7 +123,7 @@ func TestRunRequiresAppLayout(t *testing.T) {
 	tr := &trace.Trace{Name: "t", OS: p, App: app,
 		Events: []trace.Event{trace.BlockEvent(trace.DomainApp, 0)}}
 	l := layout.NewBase(p, 0)
-	if _, err := Run(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}); err == nil {
+	if _, err := RunManyOpt(tr, l, nil, []cache.Config{{Size: 64, Line: 32, Assoc: 1}}, Options{}); err == nil {
 		t.Fatal("missing app layout accepted")
 	}
 }
@@ -98,7 +132,7 @@ func TestRunRejectsForeignLayout(t *testing.T) {
 	p, _ := progtest.Linear(1, 8)
 	other, _ := progtest.Linear(1, 8)
 	tr := &trace.Trace{Name: "t", OS: p}
-	if _, err := Run(tr, layout.NewBase(other, 0), nil, cache.Config{Size: 64, Line: 32, Assoc: 1}); err == nil {
+	if _, err := RunManyOpt(tr, layout.NewBase(other, 0), nil, []cache.Config{{Size: 64, Line: 32, Assoc: 1}}, Options{}); err == nil {
 		t.Fatal("layout for another program accepted")
 	}
 }
@@ -118,17 +152,10 @@ func TestPartitionedSplitIsolatesDomains(t *testing.T) {
 			trace.BlockEvent(trace.DomainOS, 0),
 			trace.BlockEvent(trace.DomainApp, 0))
 	}
-	shared, err := Run(tr, osL, appL, cache.Config{Size: 64, Line: 32, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := runOne(t, tr, osL, appL, cache.Config{Size: 64, Line: 32, Assoc: 1}, Options{})
 	splitCfg := cache.Config{Size: 64, Line: 32, Assoc: 2,
 		Part: cache.Partition{OSWays: 1, AppWays: 1}}
-	ress, err := RunMany(tr, osL, appL, []cache.Config{splitCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := ress[0]
+	split := runOne(t, tr, osL, appL, splitCfg, Options{})
 	if shared.Stats.TotalMisses() != 20 {
 		t.Fatalf("shared misses = %d, want 20 (full thrash)", shared.Stats.TotalMisses())
 	}
@@ -162,11 +189,8 @@ func TestPartitionedReservedRoutesReservedLines(t *testing.T) {
 
 func TestMissAndRefHistograms(t *testing.T) {
 	tr, l := conflictTrace(5)
-	res, err := Run(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := MissHistogram(res, trace.DomainOS, l, 64)
+	res := runOne(t, tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, Options{})
+	h := HistogramOf(res.BlockMisses[trace.DomainOS], l, 64)
 	// Block 0 at 0 (bucket 0), block 1 at 64 (bucket 1).
 	if len(h) != 2 || h[0] != 5 || h[1] != 5 {
 		t.Fatalf("miss histogram = %v", h)
@@ -196,10 +220,7 @@ func TestRunUtilTracksLineUsage(t *testing.T) {
 			trace.BlockEvent(trace.DomainOS, 0),
 			trace.BlockEvent(trace.DomainOS, 1))
 	}
-	res, util, err := RunUtil(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, util := runUtil(t, tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, 1)
 	if res.Stats.TotalMisses() != 20 {
 		t.Fatalf("misses = %d, want 20", res.Stats.TotalMisses())
 	}
@@ -224,10 +245,7 @@ func TestRunUtilFullLineUsage(t *testing.T) {
 			trace.BlockEvent(trace.DomainOS, 0),
 			trace.BlockEvent(trace.DomainOS, 1))
 	}
-	_, util, err := RunUtil(tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, util := runUtil(t, tr, l, nil, cache.Config{Size: 64, Line: 32, Assoc: 1}, 1)
 	if got := util.Utilization(); got != 1.0 {
 		t.Fatalf("utilization = %v, want 1.0", got)
 	}

@@ -26,7 +26,7 @@ import (
 // Sharing the resolved reference stream across configurations is the classic
 // single-pass trick (Hill & Smith's all-associativity simulation, the
 // Cheetah simulator); compiling it into a reusable artifact moves the
-// amortisation one level up, across RunMany calls.
+// amortisation one level up, across replay calls.
 
 // Events is the layout-independent decode of one trace: one packed
 // (domain, block) record per basic-block event, the per-block
@@ -91,9 +91,8 @@ func (ev *Events) Bytes() int64 {
 
 // Stream is the compiled line stream of one (trace, OS layout, app layout,
 // line size) tuple: every block event's line span expanded and consecutive
-// same-line accesses elided, exactly as the drive loops used to do per
-// replay. A Stream is immutable after Compile; any number of drive workers
-// and RunMany calls may read it concurrently.
+// same-line accesses elided. A Stream is immutable after Compile; any
+// number of drive workers and RunManyOpt calls may read it concurrently.
 type Stream struct {
 	lineSize int
 	ev       *Events
@@ -117,35 +116,26 @@ const (
 	streamAttrShift = 32
 )
 
-// Compile resolves, expands and elides the trace's line accesses for one
-// line size under the given layouts. appL may be nil when the trace has no
-// application. lineSize must be a positive power of two.
-func Compile(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
-	return CompileEvents(Decode(t), t, osL, appL, lineSize)
-}
-
-// CompileEvents is Compile over an already-decoded event stream, so callers
-// compiling one trace under many layouts or line sizes (the stream cache)
-// share a single decode. ev must be Decode(t).
+// CompileEvents resolves, expands and elides the trace's line accesses for
+// one line size under the given layouts, from the trace's decoded events
+// (ev must be Decode(t)), so callers compiling one trace under many layouts
+// or line sizes share a single decode. appL may be nil when the trace has
+// no application. lineSize must be a positive power of two.
 func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*Stream, error) {
-	if lineSize <= 0 || bits.OnesCount(uint(lineSize)) != 1 {
-		return nil, fmt.Errorf("simulate: line size %d not a positive power of two", lineSize)
-	}
 	if err := checkLayouts(t, osL, appL); err != nil {
 		return nil, err
 	}
-	spans := spanTables(t, osL, appL, lineSize)
+	cc, err := newChunkCompiler(t, osL, appL, lineSize)
+	if err != nil {
+		return nil, err
+	}
 	// Pre-size the access array exactly: the un-elided expansion length is
 	// Σ_b count(b)·spanLen(b) — an O(blocks) sum over the per-block event
 	// histogram, not a pass over the events — and bounds the elided stream
-	// from above, so the write pass below never reallocates. The same sweep
-	// front-loads the uint32 offset check and the packed-line range check.
+	// from above.
 	var raw uint64
-	for d, tab := range spans {
+	for d, tab := range cc.spans {
 		for b, sp := range tab {
-			if sp.Last > streamLineMask {
-				return nil, fmt.Errorf("simulate: line address %#x exceeds the packed 32-bit stream range; cannot compile", sp.Last)
-			}
 			raw += uint64(ev.counts[d][b]) * (sp.Last - sp.First + 1)
 		}
 	}
@@ -157,7 +147,7 @@ func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSiz
 	var elided uint64
 	prev := ^uint64(0)
 	for _, a := range ev.attrs {
-		sp := spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
+		sp := cc.spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
 		if sp.First == prev {
 			elided++
 		}
@@ -167,16 +157,13 @@ func CompileEvents(ev *Events, t *trace.Trace, osL, appL *layout.Layout, lineSiz
 	if total > math.MaxUint32 {
 		return nil, fmt.Errorf("simulate: stream of %d line accesses exceeds the %d offset limit; cannot compile", total, math.MaxUint32)
 	}
-	s := &Stream{
-		lineSize: lineSize,
-		ev:       ev,
-		accs:     make([]uint64, total),
-		eventEnd: make([]uint32, len(ev.attrs)),
-	}
+	// Index writes into the exact-size arrays, not chunkCompiler.compile's
+	// appends: this loop is the single-config replay's compile cost.
+	s := &Stream{lineSize: lineSize, ev: ev, accs: make([]uint64, total), eventEnd: make([]uint32, len(ev.attrs))}
 	n := 0
 	prev = ^uint64(0)
 	for i, a := range ev.attrs {
-		sp := spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
+		sp := cc.spans[a>>eventDomainShift][a&(1<<eventDomainShift-1)]
 		hi := uint64(a) << streamAttrShift
 		for line := sp.First; line <= sp.Last; line++ {
 			if line == prev {

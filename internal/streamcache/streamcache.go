@@ -157,6 +157,17 @@ func (c *Cache) Stream(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (
 	return s, err
 }
 
+// Transient returns a stream source that compiles every request afresh
+// from the cache's memoized decode and retains nothing, for one-off
+// replays; its compiles count as neither hits nor misses.
+func (c *Cache) Transient() simulate.StreamSource { return transient{c} }
+
+type transient struct{ c *Cache }
+
+func (s transient) Stream(t *trace.Trace, osL, appL *layout.Layout, lineSize int) (*simulate.Stream, error) {
+	return simulate.CompileEvents(s.c.eventsFor(t), t, osL, appL, lineSize)
+}
+
 // eventsFor returns the trace's memoized decode, decoding at most once per
 // trace across concurrent callers.
 func (c *Cache) eventsFor(t *trace.Trace) *simulate.Events {

@@ -8,6 +8,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
 	"oslayout/internal/program"
+	"oslayout/internal/simtest"
 	"oslayout/internal/simulate"
 	"oslayout/internal/trace"
 )
@@ -178,7 +179,7 @@ func TestEvictionLRU(t *testing.T) {
 }
 
 // TestStreamSourceIntegration runs the engine end to end through the cache
-// and checks results match direct compilation.
+// and checks results match the naive reference replay.
 func TestStreamSourceIntegration(t *testing.T) {
 	tr := testTrace(10_000, 6)
 	osL := layout.NewBase(tr.OS, 0)
@@ -190,7 +191,7 @@ func TestStreamSourceIntegration(t *testing.T) {
 	c := New(0)
 	for round := 0; round < 2; round++ {
 		for _, cfg := range cfgs {
-			want, err := simulate.Run(tr, osL, nil, cfg)
+			want, err := simtest.RefReplay(tr, osL, nil, cfg, simtest.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -179,10 +179,11 @@ type StudyOptions struct {
 	// Recorder, when non-nil, receives phase timings for kernel synthesis,
 	// per-workload trace generation and profile averaging.
 	Recorder *Recorder
-	// DrivePar bounds the replay drive worker pool used by the EvaluateMany
-	// family: values above 1 fan independent cache units across that many
+	// DrivePar bounds the replay drive worker pool of every evaluation:
+	// values above 1 fan independent cache units across that many
 	// goroutines (results stay bit-identical to sequential); 0 or 1 keeps
-	// the sequential drive. Single-config Evaluate is always sequential.
+	// the sequential drive. A single-config replay is one drive unit, so
+	// it always runs sequentially.
 	DrivePar int
 	// StreamCacheBytes bounds the estimated memory of the study's
 	// compiled-stream cache; non-positive selects the package default
@@ -227,7 +228,8 @@ type Study struct {
 	// serialises them under one lock (building applies profiles in place,
 	// mutating kernel weights — see internal/strategy.Cache).
 	layouts *strategy.Cache
-	// streams memoizes compiled line streams across Evaluate* calls; its
+	// streams memoizes trace decodes and the compiled line streams of
+	// EvaluateMany calls; its
 	// identity-based keys work because every layout this study replays is
 	// itself memoized (strategy cache, appBase below), so equal layouts are
 	// equal pointers.
@@ -531,58 +533,45 @@ func OSHotBytes(plan *Plan, cacheSize int) int64 {
 
 // Evaluate replays workload i's trace through one cache under the given
 // layouts. appL may be nil for OS-only workloads or Base-app runs (in which
-// case the Base application layout is used when the workload has one).
-func (s *Study) Evaluate(i int, osL, appL *Layout, cfg CacheConfig) (*Result, error) {
-	d := s.Data[i]
-	if appL == nil && d.App != nil {
-		appL = s.AppBaseLayout(i)
-	}
-	return simulate.Run(d.Trace, osL, appL, cfg)
-}
-
-// EvaluateMany replays workload i's trace through many cache organisations
-// in a single pass over compiled line streams (simulate.RunManyOpt): the
-// trace is decoded once per study, the (layout, line size) expansion is
-// memoized across calls in the study's stream cache, and all caches
-// sharing a line size are driven from the same stream — fanned across a
-// worker pool when StudyOptions.DrivePar allows. Results are bit-identical
-// to per-config Evaluate calls; sweep and compare experiments use this to
-// avoid redundant trace replays and recompilations.
-func (s *Study) EvaluateMany(i int, osL, appL *Layout, cfgs []CacheConfig) ([]*Result, error) {
-	return s.EvaluateManyObserved(i, osL, appL, cfgs, nil)
-}
-
-// EvaluateObserved is Evaluate with an attached observer: the replay
-// additionally reports every trace event, classified miss and eviction, so
-// collectors like SimStats can attribute where the misses went. The Result
-// is bit-identical to Evaluate's.
-func (s *Study) EvaluateObserved(i int, osL, appL *Layout, cfg CacheConfig, o Observer) (*Result, error) {
-	ress, err := s.EvaluateManyObserved(i, osL, appL, []CacheConfig{cfg}, []Observer{o})
+// case the Base application layout is used when the workload has one). An
+// optional observer watches the replay. The replay compiles a transient
+// stream from the study's memoized trace decode and keeps nothing, so
+// one-off streams never crowd out the grids that reuse theirs.
+func (s *Study) Evaluate(i int, osL, appL *Layout, cfg CacheConfig, o ...Observer) (*Result, error) {
+	ress, err := s.replay(i, osL, appL, []CacheConfig{cfg}, ReplayOptions{Observers: o}, s.streams.Transient())
 	if err != nil {
 		return nil, err
 	}
 	return ress[0], nil
 }
 
-// EvaluateManyObserved is EvaluateMany with optional per-configuration
-// observers (observers[i] watches cfgs[i]; nil entries are free).
-func (s *Study) EvaluateManyObserved(i int, osL, appL *Layout, cfgs []CacheConfig, observers []Observer) ([]*Result, error) {
-	return s.EvaluateManyConfigured(i, osL, appL, cfgs, observers, nil)
+// ReplayOptions attaches per-configuration observers and cache setups to
+// an EvaluateMany replay, as simulate.Options does: either slice, when
+// non-nil, must match the configs in length, and nil entries are free.
+type ReplayOptions struct {
+	Observers []Observer
+	Setups    []CacheSetup
 }
 
-// EvaluateManyConfigured is EvaluateManyObserved with optional per-
-// configuration cache setups (setups[i] prepares cfgs[i]'s cache before the
-// replay; nil entries are free). Partition controllers use the setup hook to
-// install reserved line sets and bind dynamic repartitioning policies.
-func (s *Study) EvaluateManyConfigured(i int, osL, appL *Layout, cfgs []CacheConfig, observers []Observer, setups []CacheSetup) ([]*Result, error) {
+// EvaluateMany replays workload i's trace through many cache organisations
+// in a single pass over compiled line streams (simulate.RunManyOpt), fanned
+// across a worker pool when StudyOptions.DrivePar allows. appL defaults as
+// in Evaluate. The streams are memoized in the study's stream cache, so
+// sweeps, compare grids and repeated serve jobs compile each one once.
+func (s *Study) EvaluateMany(i int, osL, appL *Layout, cfgs []CacheConfig, opt ReplayOptions) ([]*Result, error) {
+	return s.replay(i, osL, appL, cfgs, opt, s.streams)
+}
+
+// replay runs one evaluation on the engine with the given stream source.
+func (s *Study) replay(i int, osL, appL *Layout, cfgs []CacheConfig, opt ReplayOptions, streams simulate.StreamSource) ([]*Result, error) {
 	d := s.Data[i]
 	if appL == nil && d.App != nil {
 		appL = s.AppBaseLayout(i)
 	}
 	return simulate.RunManyOpt(d.Trace, osL, appL, cfgs, simulate.Options{
-		Observers: observers,
-		Setups:    setups,
-		Streams:   s.streams,
+		Observers: opt.Observers,
+		Setups:    opt.Setups,
+		Streams:   streams,
 		Workers:   s.drivePar,
 	})
 }
@@ -618,19 +607,8 @@ func (s *Study) WithDrivePar(n int) *Study {
 // to the historical two-cache model (disjoint address domains mean the
 // shared eviction history never mixes).
 func CombineSplit(osCfg, appCfg CacheConfig) (CacheConfig, error) {
-	if err := osCfg.Validate(); err != nil {
+	if err := checkHalves("split", osCfg, appCfg); err != nil {
 		return CacheConfig{}, err
-	}
-	if err := appCfg.Validate(); err != nil {
-		return CacheConfig{}, err
-	}
-	switch {
-	case osCfg.Line != appCfg.Line:
-		return CacheConfig{}, fmt.Errorf("oslayout: split halves disagree on line size: %d vs %d", osCfg.Line, appCfg.Line)
-	case osCfg.NumSets() != appCfg.NumSets():
-		return CacheConfig{}, fmt.Errorf("oslayout: split halves map to different set counts: %d vs %d", osCfg.NumSets(), appCfg.NumSets())
-	case osCfg.Part.Enabled() || appCfg.Part.Enabled():
-		return CacheConfig{}, fmt.Errorf("oslayout: split halves must be unpartitioned")
 	}
 	return CacheConfig{
 		Size:   osCfg.Size + appCfg.Size,
@@ -647,19 +625,8 @@ func CombineSplit(osCfg, appCfg CacheConfig) (CacheConfig, error) {
 // region, the main cache the shared remainder. Both must share the line
 // size and set count.
 func CombineReserved(smallCfg, mainCfg CacheConfig) (CacheConfig, error) {
-	if err := smallCfg.Validate(); err != nil {
+	if err := checkHalves("reserved", smallCfg, mainCfg); err != nil {
 		return CacheConfig{}, err
-	}
-	if err := mainCfg.Validate(); err != nil {
-		return CacheConfig{}, err
-	}
-	switch {
-	case smallCfg.Line != mainCfg.Line:
-		return CacheConfig{}, fmt.Errorf("oslayout: reserved halves disagree on line size: %d vs %d", smallCfg.Line, mainCfg.Line)
-	case smallCfg.NumSets() != mainCfg.NumSets():
-		return CacheConfig{}, fmt.Errorf("oslayout: reserved halves map to different set counts: %d vs %d", smallCfg.NumSets(), mainCfg.NumSets())
-	case smallCfg.Part.Enabled() || mainCfg.Part.Enabled():
-		return CacheConfig{}, fmt.Errorf("oslayout: reserved halves must be unpartitioned")
 	}
 	return CacheConfig{
 		Size:   smallCfg.Size + mainCfg.Size,
@@ -668,6 +635,25 @@ func CombineReserved(smallCfg, mainCfg CacheConfig) (CacheConfig, error) {
 		Policy: mainCfg.Policy,
 		Part:   Partition{ResvWays: smallCfg.Assoc},
 	}, nil
+}
+
+// checkHalves reports whether two valid, unpartitioned caches with the
+// same line size and set count can fold into one way-partitioned cache.
+func checkHalves(what string, a, b CacheConfig) error {
+	for _, c := range []CacheConfig{a, b} {
+		if err := c.Validate(); err != nil {
+			return err
+		}
+	}
+	switch {
+	case a.Line != b.Line:
+		return fmt.Errorf("oslayout: %s halves disagree on line size: %d vs %d", what, a.Line, b.Line)
+	case a.NumSets() != b.NumSets():
+		return fmt.Errorf("oslayout: %s halves map to different set counts: %d vs %d", what, a.NumSets(), b.NumSets())
+	case a.Part.Enabled() || b.Part.Enabled():
+		return fmt.Errorf("oslayout: %s halves must be unpartitioned", what)
+	}
+	return nil
 }
 
 // ReservedLines expands a reserved OS block set (typically a plan's
@@ -704,11 +690,7 @@ func (s *Study) EvaluateSplit(i int, osL, appL *Layout, osCfg, appCfg CacheConfi
 	if err != nil {
 		return nil, err
 	}
-	ress, err := s.EvaluateMany(i, osL, appL, []CacheConfig{cfg})
-	if err != nil {
-		return nil, err
-	}
-	return ress[0], nil
+	return s.Evaluate(i, osL, appL, cfg)
 }
 
 // EvaluateReserved replays workload i's trace through the paper's "Resv"
@@ -726,7 +708,7 @@ func (s *Study) EvaluateReserved(i int, osL, appL *Layout, reserved []program.Bl
 	}
 	lines := ReservedLines(osL, reserved, cfg.Line)
 	setup := func(c *cache.Cache) error { return c.SetReservedLines(lines) }
-	ress, err := s.EvaluateManyConfigured(i, osL, appL, []CacheConfig{cfg}, nil, []CacheSetup{setup})
+	ress, err := s.EvaluateMany(i, osL, appL, []CacheConfig{cfg}, ReplayOptions{Setups: []CacheSetup{setup}})
 	if err != nil {
 		return nil, err
 	}

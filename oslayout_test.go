@@ -6,6 +6,7 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/program"
+	"oslayout/internal/simtest"
 	"oslayout/internal/simulate"
 	"oslayout/internal/trace"
 )
@@ -327,13 +328,71 @@ func TestStudyTraceRoundTripSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := simulate.Run(reloaded, base, nil, cfg)
+	got, err := simtest.RefReplay(reloaded, base, nil, cfg, simtest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats != orig.Stats {
 		t.Fatalf("stats differ after round trip: %+v vs %+v", got.Stats, orig.Stats)
 	}
+}
+
+// TestSingleConfigReplayRetainsNoStream pins the stream-cache memory
+// policy. Evaluate, observed or not, compiles a transient stream from the
+// study's memoized trace decode: after the first call the cache holds
+// exactly that decode, and further calls — other layouts, other line
+// sizes, an attached observer — add no entry, no byte and no hit or miss.
+// EvaluateMany memoizes its streams, so repeating it is a pure
+// stream-cache hit.
+func TestSingleConfigReplayRetainsNoStream(t *testing.T) {
+	st := smallStudy(t)
+	const wi = 1 // a workload with an application
+	plan, err := st.OptS(8 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := st.BaseLayout()
+	cfg := CacheConfig{Size: 8 << 10, Line: 32, Assoc: 1}
+	if _, err := st.Evaluate(wi, base, nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	decoded := simulate.Decode(st.Data[wi].Trace).Bytes()
+	check := func(when string, wantHits, wantMisses uint64) {
+		t.Helper()
+		bytes, evictions := st.StreamCacheUsage()
+		hits, misses := st.StreamCacheStats()
+		if hits != wantHits || misses != wantMisses || evictions != 0 {
+			t.Errorf("%s: stream cache hits/misses/evictions %d/%d/%d, want %d/%d/0",
+				when, hits, misses, evictions, wantHits, wantMisses)
+		}
+		if wantMisses == 0 && bytes != decoded {
+			t.Errorf("%s: stream cache holds %d bytes, want only the %d-byte decode", when, bytes, decoded)
+		}
+	}
+	check("first Evaluate", 0, 0)
+
+	if _, err := st.Evaluate(wi, plan.Layout, nil, CacheConfig{Size: 4 << 10, Line: 16, Assoc: 2}); err != nil {
+		t.Fatal(err)
+	}
+	observed := NewSimStats(0)
+	res, err := st.Evaluate(wi, plan.Layout, nil, cfg, observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed.TotalMisses() != res.Stats.TotalMisses() || observed.TotalMisses() == 0 {
+		t.Errorf("observer saw %d misses, result has %d", observed.TotalMisses(), res.Stats.TotalMisses())
+	}
+	check("single-config replays", 0, 0)
+	if _, err := st.Evaluate(wi, plan.Layout, nil, cfg, observed, observed); err == nil {
+		t.Error("Evaluate accepted two observers")
+	}
+
+	for _, cfgs := range [][]CacheConfig{{cfg, {Size: 16 << 10, Line: 32, Assoc: 1}}, {cfg}} {
+		if _, err := st.EvaluateMany(wi, plan.Layout, nil, cfgs, ReplayOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("repeated EvaluateMany", 1, 1)
 }
 
 func TestStrategiesAPI(t *testing.T) {
