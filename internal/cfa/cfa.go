@@ -51,8 +51,11 @@ func BuildRoutineCFG(p *program.Program, r program.RoutineID) *RoutineCFG {
 			c.Succ[i] = append(c.Succ[i], j)
 			c.Pred[j] = append(c.Pred[j], i)
 		}
-		for _, a := range b.Out {
-			add(a.To)
+		// Read arc targets by index: copying whole arcs would also read
+		// their profile weights, which a concurrent profile application
+		// may be rewriting. The CFG reads structural fields only.
+		for j := range b.Out {
+			add(b.Out[j].To)
 		}
 		if b.HasCall && b.Call.Cont != program.NoBlock {
 			add(b.Call.Cont)
@@ -257,7 +260,12 @@ func FindLoops(p *program.Program, r program.RoutineID) []Loop {
 	return loops
 }
 
-// AllLoops detects the natural loops of every routine in the program.
+// AllLoops detects the natural loops of every routine in the program. It
+// reads only the program's structure, never its profile weights, so the
+// result is computed once per program by the program's owner (the study
+// memoizes the kernel's and each application's) and shared read-only by
+// every layout build and analysis, and it may run while a profile is being
+// applied to the same program.
 func AllLoops(p *program.Program) []Loop {
 	var loops []Loop
 	for r := range p.Routines {

@@ -114,14 +114,18 @@ type Plan struct {
 	LoopArea []program.BlockID
 	// Classes classifies every block for the Figure 13 breakdown.
 	Classes []BlockClass
-	// Loops are the program's natural loops (shared analysis result).
+	// Loops are the program's natural loops: the caller's analysis result,
+	// shared by every plan over the same program and never mutated.
 	Loops []cfa.Loop
 }
 
 // Optimize runs the paper's algorithm over a profiled program and returns
 // the plan. Entries gives the seed entry blocks (SeedEntries for kernels,
-// MainEntries for applications).
-func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockID, base uint64, params Params) (*Plan, error) {
+// MainEntries for applications). Loops must be cfa.AllLoops(p): the
+// analysis is structural, so its owner (the study, which computes it once
+// per program) passes the same slice to every build, and the plan shares
+// it read-only as Plan.Loops.
+func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockID, loops []cfa.Loop, base uint64, params Params) (*Plan, error) {
 	if params.CacheSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive cache size %d", params.CacheSize)
 	}
@@ -141,9 +145,8 @@ func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockI
 		return nil, fmt.Errorf("core: program %q has no profile weights", p.Name)
 	}
 
-	plan := &Plan{Params: params}
+	plan := &Plan{Params: params, Loops: loops}
 	plan.Sequences, _ = BuildSequencesCapped(p, entries, params.Schedule, params.MaxSeqBytes)
-	plan.Loops = cfa.AllLoops(p)
 
 	adjusted := AdjustedWeights(p, plan.Loops)
 	var scfBytes int64

@@ -101,6 +101,22 @@ type seqBuilder struct {
 	p       *program.Program
 	total   float64 // total block execution weight
 	visited []bool
+	// seen marks the blocks the current findStart search has reached:
+	// seen[b] == epoch. Each search bumps epoch instead of clearing, so the
+	// restarts of a whole build share one allocation. The epoch cannot
+	// wrap: every search but the last of each (iteration, seed) phase
+	// places a block, so a build runs far fewer than 2^32 searches.
+	seen  []uint32
+	epoch uint32
+	// queue and stack are the reusable BFS queue of findStart and the
+	// pending-continuation stack of a greedy walk.
+	queue []program.BlockID
+	stack []program.BlockID
+	// order holds every placed block in placement order. Only executed
+	// blocks are placed, each at most once, so sized to the executed-block
+	// count it never grows; each sequence's Blocks is a capacity-capped
+	// window of it.
+	order []program.BlockID
 }
 
 // acceptable reports whether block b may join a sequence under th: it must
@@ -132,6 +148,8 @@ func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]pr
 		p:       p,
 		total:   float64(p.TotalWeight()),
 		visited: make([]bool, p.NumBlocks()),
+		seen:    make([]uint32, p.NumBlocks()),
+		order:   make([]program.BlockID, 0, p.ExecutedBlocks()),
 	}
 	var seqs []Sequence
 	for iter, row := range schedule {
@@ -141,28 +159,27 @@ func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]pr
 				continue
 			}
 			blocks := sb.buildOne(entries[class], th)
-			if len(blocks) == 0 {
-				continue
-			}
-			for _, chunk := range splitByBytes(p, blocks, maxSeqBytes) {
-				s := Sequence{Seed: program.SeedClass(class), Iter: iter, Thresh: th, Blocks: chunk}
-				for _, b := range chunk {
+			for len(blocks) > 0 {
+				n := chunkLen(p, blocks, maxSeqBytes)
+				s := Sequence{Seed: program.SeedClass(class), Iter: iter, Thresh: th, Blocks: blocks[:n:n]}
+				for _, b := range s.Blocks {
 					s.Bytes += int64(p.Block(b).Size)
 				}
 				seqs = append(seqs, s)
+				blocks = blocks[n:]
 			}
 		}
 	}
 	// Leftover executed blocks (unreachable from the seeds through weighted
 	// edges — possible when profiles are averaged) become a final sequence
 	// ordered by weight.
-	var leftover []program.BlockID
+	start := len(sb.order)
 	for b := range p.Blocks {
 		if !sb.visited[b] && p.Blocks[b].Weight > 0 {
-			leftover = append(leftover, program.BlockID(b))
+			sb.order = append(sb.order, program.BlockID(b))
 		}
 	}
-	if len(leftover) > 0 {
+	if leftover := sb.order[start:]; len(leftover) > 0 {
 		sort.SliceStable(leftover, func(i, j int) bool {
 			return p.Block(leftover[i]).Weight > p.Block(leftover[j]).Weight
 		})
@@ -176,26 +193,20 @@ func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]pr
 	return seqs, sb.visited
 }
 
-// splitByBytes cuts a block list into chunks of at most maxBytes (0 = no
-// cap). A chunk always contains at least one block.
-func splitByBytes(p *program.Program, blocks []program.BlockID, maxBytes int64) [][]program.BlockID {
+// chunkLen returns how many leading blocks form the next chunk of at most
+// maxBytes (0 = no cap). A chunk always contains at least one block.
+func chunkLen(p *program.Program, blocks []program.BlockID, maxBytes int64) int {
 	if maxBytes <= 0 {
-		return [][]program.BlockID{blocks}
+		return len(blocks)
 	}
-	var out [][]program.BlockID
-	start := 0
 	var size int64
 	for i, b := range blocks {
-		bs := int64(p.Block(b).Size)
-		if size+bs > maxBytes && i > start {
-			out = append(out, blocks[start:i])
-			start = i
-			size = 0
+		size += int64(p.Block(b).Size)
+		if size > maxBytes && i > 0 {
+			return i
 		}
-		size += bs
 	}
-	out = append(out, blocks[start:])
-	return out
+	return len(blocks)
 }
 
 // SeedEntries returns the entry blocks of a kernel's four seed routines.
@@ -232,18 +243,19 @@ func MainEntries(p *program.Program, mains []program.RoutineID) [program.NumSeed
 // frequently executed path out of it", visiting callees inline, until every
 // restart from the seed finds no more acceptable blocks.
 func (sb *seqBuilder) buildOne(seedEntry program.BlockID, th Thresh) []program.BlockID {
-	var blocks []program.BlockID
+	first := len(sb.order)
 	for {
 		start := sb.findStart(seedEntry, th)
 		if start == program.NoBlock {
-			return blocks
+			return sb.order[first:len(sb.order):len(sb.order)]
 		}
-		var stack []program.BlockID
+		stack := sb.stack[:0]
 		for cur := start; cur != program.NoBlock; {
 			sb.visited[cur] = true
-			blocks = append(blocks, cur)
+			sb.order = append(sb.order, cur)
 			cur = sb.next(cur, &stack, th)
 		}
+		sb.stack = stack
 	}
 }
 
@@ -307,9 +319,11 @@ func (sb *seqBuilder) pop(stack *[]program.BlockID, th Thresh) program.BlockID {
 }
 
 // findStart re-walks from the seed through already-visited blocks along
-// sufficiently probable profile edges, returning the first unvisited
-// acceptable block encountered ("we start again from the seed looking for
-// the next acceptable basic block").
+// sufficiently probable profile edges, returning the heaviest unvisited
+// acceptable block it reaches, ties going to the first encountered in BFS
+// order ("we start again from the seed looking for the next acceptable
+// basic block"). The search allocates nothing: it marks reached blocks with
+// a fresh epoch in sb.seen and reuses sb.queue, popping by index.
 func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.BlockID {
 	if sb.acceptable(seedEntry, th) {
 		return seedEntry
@@ -318,21 +332,21 @@ func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.Bl
 		// Seed entry not hot enough yet; nothing reachable this iteration.
 		return program.NoBlock
 	}
-	seen := make(map[program.BlockID]bool, 256)
-	queue := []program.BlockID{seedEntry}
-	seen[seedEntry] = true
+	sb.epoch++
+	epoch := sb.epoch
+	queue := append(sb.queue[:0], seedEntry)
+	sb.seen[seedEntry] = epoch
 	var best program.BlockID = program.NoBlock
 	var bestW uint64
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(queue); i++ {
+		x := queue[i]
 		b := sb.p.Block(x)
 		tryEdge := func(to program.BlockID, hot bool) {
-			if seen[to] {
+			if sb.seen[to] == epoch {
 				return
 			}
 			if sb.visited[to] {
-				seen[to] = true
+				sb.seen[to] = epoch
 				queue = append(queue, to)
 				return
 			}
@@ -359,5 +373,6 @@ func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.Bl
 			}
 		}
 	}
+	sb.queue = queue
 	return best
 }

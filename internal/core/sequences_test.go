@@ -1,10 +1,19 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"oslayout/internal/appgen"
+	"oslayout/internal/kernelgen"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/progtest"
+	"oslayout/internal/trace"
+	"oslayout/internal/workload"
 )
 
 // fig9Entries maps the push_hrtime entry onto the interrupt seed slot.
@@ -262,5 +271,420 @@ func TestBuildSequencesCapped(t *testing.T) {
 		if fc[i] != fu[i] {
 			t.Fatalf("capped order diverges at %d", i)
 		}
+	}
+}
+
+// The naive oracle: sequence construction exactly as it stood while
+// findStart allocated a fresh map for every restart search and each
+// sequence owned its own block slice. It is kept verbatim (plus a restart
+// counter) so the fast builder is checked against an independent
+// implementation, not against itself.
+
+// naiveSeqBuilder holds the shared state of sequence construction.
+type naiveSeqBuilder struct {
+	p       *program.Program
+	total   float64 // total block execution weight
+	visited []bool
+	// restarts counts findStart calls that search past the seed entry
+	// (an addition to the copied code, for the allocation gate).
+	restarts int
+}
+
+// acceptable reports whether block b may join a sequence under th: it must
+// be executed, not yet placed, and hot enough.
+func (sb *naiveSeqBuilder) acceptable(b program.BlockID, th Thresh) bool {
+	if sb.visited[b] {
+		return false
+	}
+	w := sb.p.Block(b).Weight
+	return w > 0 && float64(w) >= th.Exec*sb.total
+}
+
+// BuildSequencesCapped is BuildSequences with an optional per-sequence byte
+// cap: once a sequence reaches maxSeqBytes, it is closed and construction
+// continues in a fresh sequence of the same (iteration, seed) phase. The
+// paper keeps its most important sequences at 1-4 KB "to reduce conflicts";
+// it achieves that by tuning the threshold schedule, and the cap offers the
+// same control directly (0 disables it).
+func naiveBuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) ([]Sequence, []bool, int) {
+	sb := &naiveSeqBuilder{
+		p:       p,
+		total:   float64(p.TotalWeight()),
+		visited: make([]bool, p.NumBlocks()),
+	}
+	var seqs []Sequence
+	for iter, row := range schedule {
+		for class := 0; class < program.NumSeedClasses; class++ {
+			th := row[class]
+			if th.Exec < 0 || entries[class] == program.NoBlock {
+				continue
+			}
+			blocks := sb.buildOne(entries[class], th)
+			if len(blocks) == 0 {
+				continue
+			}
+			for _, chunk := range naiveSplitByBytes(p, blocks, maxSeqBytes) {
+				s := Sequence{Seed: program.SeedClass(class), Iter: iter, Thresh: th, Blocks: chunk}
+				for _, b := range chunk {
+					s.Bytes += int64(p.Block(b).Size)
+				}
+				seqs = append(seqs, s)
+			}
+		}
+	}
+	// Leftover executed blocks (unreachable from the seeds through weighted
+	// edges — possible when profiles are averaged) become a final sequence
+	// ordered by weight.
+	var leftover []program.BlockID
+	for b := range p.Blocks {
+		if !sb.visited[b] && p.Blocks[b].Weight > 0 {
+			leftover = append(leftover, program.BlockID(b))
+		}
+	}
+	if len(leftover) > 0 {
+		sort.SliceStable(leftover, func(i, j int) bool {
+			return p.Block(leftover[i]).Weight > p.Block(leftover[j]).Weight
+		})
+		s := Sequence{Seed: program.SeedOther, Iter: len(schedule), Blocks: leftover}
+		for _, b := range leftover {
+			sb.visited[b] = true
+			s.Bytes += int64(p.Block(b).Size)
+		}
+		seqs = append(seqs, s)
+	}
+	return seqs, sb.visited, sb.restarts
+}
+
+// naiveSplitByBytes cuts a block list into chunks of at most maxBytes (0 = no
+// cap). A chunk always contains at least one block.
+func naiveSplitByBytes(p *program.Program, blocks []program.BlockID, maxBytes int64) [][]program.BlockID {
+	if maxBytes <= 0 {
+		return [][]program.BlockID{blocks}
+	}
+	var out [][]program.BlockID
+	start := 0
+	var size int64
+	for i, b := range blocks {
+		bs := int64(p.Block(b).Size)
+		if size+bs > maxBytes && i > start {
+			out = append(out, blocks[start:i])
+			start = i
+			size = 0
+		}
+		size += bs
+	}
+	out = append(out, blocks[start:])
+	return out
+}
+
+// buildOne grows a single sequence: repeated greedy walks from the seed, as
+// in Section 3.2.1 — "given a basic block, the algorithm follows the most
+// frequently executed path out of it", visiting callees inline, until every
+// restart from the seed finds no more acceptable blocks.
+func (sb *naiveSeqBuilder) buildOne(seedEntry program.BlockID, th Thresh) []program.BlockID {
+	var blocks []program.BlockID
+	for {
+		start := sb.findStart(seedEntry, th)
+		if start == program.NoBlock {
+			return blocks
+		}
+		var stack []program.BlockID
+		for cur := start; cur != program.NoBlock; {
+			sb.visited[cur] = true
+			blocks = append(blocks, cur)
+			cur = sb.next(cur, &stack, th)
+		}
+	}
+}
+
+// next picks the block placed after cur within the greedy walk, or NoBlock
+// when the walk is stuck (all successors visited, too cold, or all arcs
+// below BranchThresh) — the caller then restarts from the seed.
+func (sb *naiveSeqBuilder) next(cur program.BlockID, stack *[]program.BlockID, th Thresh) program.BlockID {
+	b := sb.p.Block(cur)
+	if b.HasCall {
+		calleeEntry := sb.p.Routine(b.Call.Callee).Entry
+		if sb.acceptable(calleeEntry, th) {
+			if b.Call.Cont != program.NoBlock {
+				*stack = append(*stack, b.Call.Cont)
+			}
+			return calleeEntry
+		}
+		// Callee already placed or too cold: skip over the call and continue
+		// in the caller.
+		if b.Call.Cont != program.NoBlock && sb.acceptable(b.Call.Cont, th) {
+			return b.Call.Cont
+		}
+		return sb.pop(stack, th)
+	}
+	if len(b.Out) > 0 {
+		best := program.NoBlock
+		var bestW uint64
+		bw := float64(b.Weight)
+		for _, a := range b.Out {
+			if a.Weight == 0 || sb.visited[a.To] {
+				continue
+			}
+			if bw > 0 && float64(a.Weight)/bw < th.Branch {
+				continue
+			}
+			if !sb.acceptable(a.To, th) {
+				continue
+			}
+			if best == program.NoBlock || a.Weight > bestW {
+				best, bestW = a.To, a.Weight
+			}
+		}
+		if best != program.NoBlock {
+			return best
+		}
+		return sb.pop(stack, th)
+	}
+	// Return block: resume at the innermost pending continuation.
+	return sb.pop(stack, th)
+}
+
+// pop unwinds pending continuations until one is placeable.
+func (sb *naiveSeqBuilder) pop(stack *[]program.BlockID, th Thresh) program.BlockID {
+	for len(*stack) > 0 {
+		cont := (*stack)[len(*stack)-1]
+		*stack = (*stack)[:len(*stack)-1]
+		if sb.acceptable(cont, th) {
+			return cont
+		}
+	}
+	return program.NoBlock
+}
+
+// findStart re-walks from the seed through already-visited blocks along
+// sufficiently probable profile edges, returning the first unvisited
+// acceptable block encountered ("we start again from the seed looking for
+// the next acceptable basic block").
+func (sb *naiveSeqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.BlockID {
+	if sb.acceptable(seedEntry, th) {
+		return seedEntry
+	}
+	if !sb.visited[seedEntry] {
+		// Seed entry not hot enough yet; nothing reachable this iteration.
+		return program.NoBlock
+	}
+	sb.restarts++
+	seen := make(map[program.BlockID]bool, 256)
+	queue := []program.BlockID{seedEntry}
+	seen[seedEntry] = true
+	var best program.BlockID = program.NoBlock
+	var bestW uint64
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		b := sb.p.Block(x)
+		tryEdge := func(to program.BlockID, hot bool) {
+			if seen[to] {
+				return
+			}
+			if sb.visited[to] {
+				seen[to] = true
+				queue = append(queue, to)
+				return
+			}
+			if hot && sb.acceptable(to, th) {
+				if w := sb.p.Block(to).Weight; best == program.NoBlock || w > bestW {
+					best, bestW = to, w
+				}
+			}
+		}
+		bw := float64(b.Weight)
+		for _, a := range b.Out {
+			if a.Weight == 0 {
+				continue
+			}
+			hot := bw == 0 || float64(a.Weight)/bw >= th.Branch
+			tryEdge(a.To, hot)
+		}
+		if b.HasCall {
+			if b.Call.Count > 0 {
+				tryEdge(sb.p.Routine(b.Call.Callee).Entry, true)
+			}
+			if b.Call.Cont != program.NoBlock {
+				tryEdge(b.Call.Cont, true)
+			}
+		}
+	}
+	return best
+}
+
+// profiledSeedKernel builds the default-size kernel at the given seed and
+// applies the average of short-trace profiles of the paper's four
+// workloads — the profile shape the experiments build layouts from,
+// leftover blocks included.
+func profiledSeedKernel(t testing.TB, seed int64) *kernelgen.Kernel {
+	t.Helper()
+	cfg := kernelgen.DefaultConfig()
+	cfg.Seed = seed
+	k := kernelgen.Build(cfg)
+	var profs []*profile.Profile
+	for i, w := range workload.Paper() {
+		tr, _, err := workload.Generate(k, w, workload.Options{Seed: int64(7001 + 13*i), OSRefs: 100_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		osp, _ := profile.FromTrace(tr)
+		profs = append(profs, osp)
+	}
+	avg, err := profile.Average(profs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := avg.Apply(k.Prog); err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// checkAgainstOracle builds sequences with both builders and fails on the
+// first difference in sequence metadata, block order or visited set.
+func checkAgainstOracle(t *testing.T, p *program.Program, entries [program.NumSeedClasses]program.BlockID, sched Schedule, maxSeqBytes int64) []Sequence {
+	t.Helper()
+	got, gotV := BuildSequencesCapped(p, entries, sched, maxSeqBytes)
+	want, wantV, _ := naiveBuildSequencesCapped(p, entries, sched, maxSeqBytes)
+	if len(got) != len(want) {
+		t.Fatalf("built %d sequences, oracle %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Seed != w.Seed || g.Iter != w.Iter || g.Thresh != w.Thresh || g.Bytes != w.Bytes {
+			t.Fatalf("sequence %d: got %v/%d/%v/%dB, oracle %v/%d/%v/%dB",
+				i, g.Seed, g.Iter, g.Thresh, g.Bytes, w.Seed, w.Iter, w.Thresh, w.Bytes)
+		}
+		if !slices.Equal(g.Blocks, w.Blocks) {
+			t.Fatalf("sequence %d blocks differ:\n got %v\nwant %v", i, g.Blocks, w.Blocks)
+		}
+	}
+	if !slices.Equal(gotV, wantV) {
+		t.Fatal("visited sets differ from the oracle")
+	}
+	return got
+}
+
+// TestBuildSequencesMatchesNaiveOracle pins the fast builder (epoch-marked
+// restart searches, one shared placement-order buffer) to the naive oracle
+// on real kernels under both schedules, capped and uncapped.
+func TestBuildSequencesMatchesNaiveOracle(t *testing.T) {
+	schedules := []struct {
+		name  string
+		sched Schedule
+	}{{"default", DefaultSchedule()}, {"table4", Table4Schedule()}}
+	for _, seed := range []int64{1995, 7, 42} {
+		k := profiledSeedKernel(t, seed)
+		for _, sc := range schedules {
+			for _, maxSeqBytes := range []int64{0, 2048} {
+				t.Run(fmt.Sprintf("seed%d/%s/cap%d", seed, sc.name, maxSeqBytes), func(t *testing.T) {
+					checkAgainstOracle(t, k.Prog, SeedEntries(k.Prog), sc.sched, maxSeqBytes)
+				})
+			}
+		}
+	}
+}
+
+// TestBuildSequencesMatchesNaiveOracleApplication covers the application
+// path: sequences seeded at the mains rather than the kernel seeds.
+func TestBuildSequencesMatchesNaiveOracleApplication(t *testing.T) {
+	app := appgen.Build("app", 21, appgen.TRFD(), appgen.Fsck())
+	tr := &trace.Trace{Name: "t", OS: app.Prog}
+	w := trace.NewWalker(app.Prog, trace.DomainOS, rand.New(rand.NewSource(2)), nil)
+	for i := 0; i < 40; i++ {
+		tr.Events = w.WalkInvocation(app.Mains[i%len(app.Mains)], tr.Events)
+	}
+	prof, _ := profile.FromTrace(tr)
+	if err := prof.Apply(app.Prog); err != nil {
+		t.Fatal(err)
+	}
+	entries := MainEntries(app.Prog, app.Mains)
+	for _, maxSeqBytes := range []int64{0, 2048} {
+		if seqs := checkAgainstOracle(t, app.Prog, entries, DefaultSchedule(), maxSeqBytes); len(seqs) == 0 {
+			t.Fatal("no application sequences built")
+		}
+	}
+}
+
+// TestFindStartTieBreak pins the restart search's choice among equally hot
+// candidates: after the hot spine S-A-B is placed, the catch-all pass
+// restarts from S for every remaining block. The heaviest reachable block
+// wins (z2, three levels down); among the equal-weight rest the first one
+// reached in breadth-first order wins — x1 at depth 1 before y1 and y2 at
+// depth 2 (in arc order), before z1 at depth 3. A depth-first search, or
+// a tie-break preferring the last candidate seen, orders them differently.
+func TestFindStartTieBreak(t *testing.T) {
+	p := program.New("ties")
+	r := p.AddRoutine("seed")
+	node := map[string]program.BlockID{}
+	for _, n := range []string{"S", "A", "B", "x1", "y1", "y2", "z1", "z2"} {
+		node[n] = p.AddBlock(r, 16)
+	}
+	arc := func(from, to string, w uint64) {
+		p.AddArc(node[from], node[to], program.ArcBranch, 0)
+		out := p.Block(node[from]).Out
+		out[len(out)-1].Weight = w
+	}
+	arc("S", "A", 90)
+	arc("S", "x1", 10)
+	arc("A", "B", 80)
+	arc("A", "y1", 10)
+	arc("A", "y2", 10)
+	arc("B", "z1", 10)
+	arc("B", "z2", 12)
+	for n, w := range map[string]uint64{"S": 100, "A": 100, "B": 100, "x1": 10, "y1": 10, "y2": 10, "z1": 10, "z2": 12} {
+		p.Block(node[n]).Weight = w
+	}
+	p.Seeds[program.SeedInterrupt] = r
+
+	var hot, all [program.NumSeedClasses]Thresh
+	for c := range hot {
+		hot[c], all[c] = inactive, inactive
+	}
+	hot[program.SeedInterrupt] = Thresh{Exec: 0.2, Branch: 0.1}
+	all[program.SeedInterrupt] = Thresh{}
+	seqs := checkAgainstOracle(t, p, SeedEntries(p), Schedule{hot, all}, 0)
+
+	rev := map[program.BlockID]string{}
+	for n, b := range node {
+		rev[b] = n
+	}
+	var got [][]string
+	for _, s := range seqs {
+		var names []string
+		for _, b := range s.Blocks {
+			names = append(names, rev[b])
+		}
+		got = append(got, names)
+	}
+	want := [][]string{{"S", "A", "B"}, {"z2", "x1", "y1", "y2", "z1"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sequences = %v, want %v", got, want)
+	}
+}
+
+// maxBuildAllocs bounds the heap allocations of one BuildSequences call.
+// It is a constant: the builder's state is allocated once per build, its
+// scratch buffers grow geometrically, and every sequence is a window of one
+// shared placement-order array — nothing is allocated per restart search or
+// per sequence.
+const maxBuildAllocs = 64
+
+// TestBuildSequencesAllocations gates the allocation-free restart search:
+// the seed-1995 kernel's build runs more findStart restarts than the bound
+// allows allocations, so even one allocation per restart fails the test
+// (the map-based oracle makes thousands).
+func TestBuildSequencesAllocations(t *testing.T) {
+	k := profiledSeedKernel(t, 1995)
+	entries, sched := SeedEntries(k.Prog), DefaultSchedule()
+	if _, _, restarts := naiveBuildSequencesCapped(k.Prog, entries, sched, 0); restarts <= maxBuildAllocs {
+		t.Fatalf("only %d restart searches; the fixture cannot expose per-restart allocations", restarts)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		BuildSequences(k.Prog, entries, sched)
+	})
+	if allocs > maxBuildAllocs {
+		t.Fatalf("BuildSequences made %.0f allocations, want at most %d", allocs, maxBuildAllocs)
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"oslayout"
 	"oslayout/internal/cache"
-	"oslayout/internal/cfa"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
 	"oslayout/internal/obs"
@@ -87,7 +86,6 @@ type Env struct {
 	onWindow func(obs.WindowFlush)
 	par      int
 	cpus     int
-	loops    []cfa.Loop
 	// refsTot lazily caches per-workload total references (recordReplay).
 	refsOnce sync.Once
 	refsTot  []uint64
@@ -343,12 +341,3 @@ func ratio(a, b uint64) float64 {
 
 // pct formats a fraction as a percentage string.
 func pct(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }
-
-// allLoops returns the kernel's natural loops (structural analysis,
-// profile-independent), cached on the environment.
-func allLoops(e *Env) []cfa.Loop {
-	if e.loops == nil {
-		e.loops = cfa.AllLoops(e.St.Kernel.Prog)
-	}
-	return e.loops
-}

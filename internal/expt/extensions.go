@@ -216,7 +216,7 @@ func (e *Env) RunAblation() (*Ablation, error) {
 		if entries != nil {
 			ent = entries()
 		}
-		return core.Optimize(e.St.Kernel.Prog, ent, 0, params)
+		return core.Optimize(e.St.Kernel.Prog, ent, e.St.KernelLoops(), 0, params)
 	}
 
 	singleSeed := func() [program.NumSeedClasses]program.BlockID {

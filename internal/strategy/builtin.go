@@ -21,7 +21,7 @@ type builtin struct {
 	sized    bool
 	// profiled strategies apply Params.Profile before building.
 	profiled bool
-	build    func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error)
+	build    func(st Study, params Params) (*layout.Layout, *core.Plan, error)
 }
 
 func (b *builtin) Name() string        { return b.name }
@@ -34,17 +34,18 @@ func (b *builtin) Build(st Study, params Params) (*layout.Layout, *core.Plan, er
 			return nil, nil, err
 		}
 	}
-	return b.build(st.KernelProgram(), params)
+	return b.build(st, params)
 }
 
 // optimize runs the paper's placement algorithm with the given parameter
 // mutation, mirroring Study.OptS/OptL/OptCall.
-func optimize(p *program.Program, params Params, mutate func(*core.Params)) (*layout.Layout, *core.Plan, error) {
+func optimize(st Study, params Params, mutate func(*core.Params)) (*layout.Layout, *core.Plan, error) {
 	cp := core.DefaultParams(params.CacheSize)
 	if mutate != nil {
 		mutate(&cp)
 	}
-	plan, err := core.Optimize(p, core.SeedEntries(p), 0, cp)
+	p := st.KernelProgram()
+	plan, err := core.Optimize(p, core.SeedEntries(p), st.KernelLoops(), 0, cp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -52,9 +53,9 @@ func optimize(p *program.Program, params Params, mutate func(*core.Params)) (*la
 }
 
 // layoutOnly adapts profile-free or plan-free builders.
-func layoutOnly(f func(p *program.Program) *layout.Layout) func(*program.Program, Params) (*layout.Layout, *core.Plan, error) {
-	return func(p *program.Program, _ Params) (*layout.Layout, *core.Plan, error) {
-		return f(p), nil, nil
+func layoutOnly(f func(p *program.Program) *layout.Layout) func(Study, Params) (*layout.Layout, *core.Plan, error) {
+	return func(st Study, _ Params) (*layout.Layout, *core.Plan, error) {
+		return f(st.KernelProgram()), nil, nil
 	}
 }
 
@@ -123,8 +124,8 @@ func init() {
 			describe: "the paper's OptS: cross-routine sequences plus the SelfConfFree area",
 			sized:    true,
 			profiled: true,
-			build: func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(p, params, nil)
+			build: func(st Study, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(st, params, nil)
 			},
 		},
 		{
@@ -132,8 +133,8 @@ func init() {
 			describe: "OptS plus the Section 4.3 loop-area extraction",
 			sized:    true,
 			profiled: true,
-			build: func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(p, params, func(cp *core.Params) {
+			build: func(st Study, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(st, params, func(cp *core.Params) {
 					cp.Name = "OptL"
 					cp.LoopExtract = true
 				})
@@ -144,8 +145,8 @@ func init() {
 			describe: "OptL plus the Section 4.4 loops-with-callees private logical caches",
 			sized:    true,
 			profiled: true,
-			build: func(p *program.Program, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(p, params, func(cp *core.Params) {
+			build: func(st Study, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(st, params, func(cp *core.Params) {
 					cp.Name = "Call"
 					cp.LoopExtract = true
 					cp.CallOpt = true

@@ -48,7 +48,7 @@ func NewCache(st Study) *Cache {
 }
 
 // SetRecorder attaches a recorder; cache-miss builds are then timed as
-// "layout.<name>" spans. A nil recorder (the default) records nothing.
+// "layout.<name>" spans ("layout.custom:<key>" for Custom builds). A nil recorder (the default) records nothing.
 // Safe to call concurrently with builds.
 func (c *Cache) SetRecorder(r *obs.Recorder) {
 	c.mu.Lock()
@@ -107,7 +107,9 @@ func (c *Cache) Custom(key string, build func(Study) (*layout.Layout, *core.Plan
 		return b, nil
 	}
 	c.miss++
+	done := c.rec.Span("layout." + k.name)
 	l, plan, err := build(c.st)
+	done()
 	if err != nil {
 		return nil, err
 	}

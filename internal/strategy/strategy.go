@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"oslayout/internal/cfa"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
 	"oslayout/internal/program"
@@ -36,6 +37,9 @@ type Study interface {
 	// ApplyProfile applies the named profile ("avg" or "w<i>" for workload
 	// i) to the kernel program's weight fields.
 	ApplyProfile(name string) error
+	// KernelLoops returns the kernel's natural loops (cfa.AllLoops),
+	// computed once by the study and shared read-only across builds.
+	KernelLoops() []cfa.Loop
 }
 
 // Params configures one strategy build.

@@ -4,9 +4,13 @@
 package strategy_test
 
 import (
+	"maps"
 	"testing"
 
 	"oslayout"
+	"oslayout/internal/core"
+	"oslayout/internal/layout"
+	"oslayout/internal/obs"
 	"oslayout/internal/strategy"
 )
 
@@ -115,6 +119,39 @@ func TestCacheMemoization(t *testing.T) {
 	}
 	if b1.Plan != nil {
 		t.Error("ch build returned a plan; only core-algorithm strategies have one")
+	}
+}
+
+// TestCustomBuildSpans pins the visibility of custom builds (cutoff
+// sweeps, Resv, application layouts): each Custom miss records exactly one
+// "layout.custom:<key>" span on the attached recorder, and a memo hit
+// records none.
+func TestCustomBuildSpans(t *testing.T) {
+	c := strategy.NewCache(testStudy(t))
+	rec := obs.NewRecorder()
+	c.SetRecorder(rec)
+	builds := 0
+	build := func(st strategy.Study) (*layout.Layout, *core.Plan, error) {
+		builds++
+		return layout.NewBase(st.KernelProgram(), 0), nil, nil
+	}
+	for i := 0; i < 3; i++ {
+		for _, key := range []string{"a", "b"} {
+			if _, err := c.Custom(key, build); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	spans := map[string]int{}
+	for _, ph := range rec.Phases() {
+		spans[ph.Name]++
+	}
+	want := map[string]int{"layout.custom:a": 1, "layout.custom:b": 1}
+	if !maps.Equal(spans, want) {
+		t.Fatalf("recorded spans %v, want %v", spans, want)
+	}
+	if hits, misses := c.Stats(); builds != 2 || hits != 4 || misses != 2 {
+		t.Fatalf("%d builds, %d hits, %d misses; want 2, 4, 2", builds, hits, misses)
 	}
 }
 

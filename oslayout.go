@@ -29,6 +29,7 @@ import (
 
 	"oslayout/internal/appgen"
 	"oslayout/internal/cache"
+	"oslayout/internal/cfa"
 	"oslayout/internal/chlayout"
 	"oslayout/internal/core"
 	"oslayout/internal/kernelgen"
@@ -62,6 +63,9 @@ type (
 	Profile = profile.Profile
 	// Layout maps basic blocks to memory addresses.
 	Layout = layout.Layout
+	// Loop is one natural loop of a program (the loop analysis of
+	// Sections 3.2.2 and 4.3).
+	Loop = cfa.Loop
 	// Plan is the full output of the paper's placement algorithm.
 	Plan = core.Plan
 	// PlacementParams configures the paper's placement algorithm.
@@ -241,6 +245,14 @@ type Study struct {
 	// rebuilding the layout on every evaluation).
 	appBase     []*Layout
 	appBaseOnce []sync.Once
+	// kernelLoops and appLoops memoize the natural loops of the kernel and
+	// of each workload's application (nil without one). Loop analysis is
+	// structural — profile weights never change it — so each program's
+	// runs once per study, and every build shares the one slice. The
+	// memos live here rather than in a package-level map keyed by program
+	// so they are freed with the study.
+	kernelLoops func() []Loop
+	appLoops    []func() []Loop
 	// streaming records whether the study's traces are header-only (chunked
 	// replay) rather than materialised.
 	streaming bool
@@ -322,8 +334,25 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 	st.drivePar = opts.DrivePar
 	st.appBase = make([]*Layout, len(st.Data))
 	st.appBaseOnce = make([]sync.Once, len(st.Data))
+	st.kernelLoops = loopsOnce(k.Prog)
+	st.appLoops = make([]func() []Loop, len(st.Data))
+	for i, d := range st.Data {
+		if d.App != nil {
+			st.appLoops[i] = loopsOnce(d.App.Prog)
+		}
+	}
 	return st, nil
 }
+
+// loopsOnce returns a memo running cfa.AllLoops(p) on first call only.
+func loopsOnce(p *Program) func() []Loop {
+	return sync.OnceValue(func() []Loop { return cfa.AllLoops(p) })
+}
+
+// KernelLoops returns the kernel's natural loops, computed on first use and
+// then shared read-only by every layout build and loop analysis of the
+// study and of its WithDrivePar views. Callers must not modify the slice.
+func (s *Study) KernelLoops() []Loop { return s.kernelLoops() }
 
 // CaptureKernelProfile snapshots the kernel program's currently applied
 // weight fields as a Profile, so callers that temporarily apply other
@@ -431,7 +460,7 @@ func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
 	if err := s.UseAverageProfile(); err != nil {
 		return nil, err
 	}
-	return core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), 0, params)
+	return core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), s.KernelLoops(), 0, params)
 }
 
 // OptimizeWithCurrentProfile runs the placement algorithm against whatever
@@ -439,7 +468,7 @@ func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
 // UseWorkloadProfile, UseAverageProfile, or a custom Profile.Apply) — for
 // cross-profile robustness experiments.
 func (s *Study) OptimizeWithCurrentProfile(params PlacementParams) (*Plan, error) {
-	return core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), 0, params)
+	return core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), s.KernelLoops(), 0, params)
 }
 
 // AverageProfiles combines several profiles of the same program into one,
@@ -513,7 +542,7 @@ func (s *Study) AppOptLayout(i, cacheSize int, osHotBytes int64) (*Plan, error) 
 	// base fixes the cache offset directly.
 	offset := uint64(osHotBytes) % uint64(cacheSize)
 	base := uint64(simulate.AppBase) + offset
-	return core.Optimize(d.App.Prog, core.MainEntries(d.App.Prog, d.App.Mains), base, params)
+	return core.Optimize(d.App.Prog, core.MainEntries(d.App.Prog, d.App.Mains), s.appLoops[i](), base, params)
 }
 
 // OSHotBytes reports the extent of the hot OS area for OptA alignment: the

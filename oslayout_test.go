@@ -2,7 +2,9 @@ package oslayout
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"oslayout/internal/cache"
 	"oslayout/internal/program"
@@ -465,6 +467,66 @@ func TestApplyProfileNames(t *testing.T) {
 	for _, bad := range []string{"w99", "w-1", "wx", "bogus"} {
 		if err := st.ApplyProfile(bad); err == nil {
 			t.Errorf("profile name %q accepted", bad)
+		}
+	}
+}
+
+// TestLoopMemoSharedAcrossGoroutines is the race check of the study-owned
+// loop analysis: goroutines calling KernelLoops — directly, through a
+// WithDrivePar view, and inside concurrent opts/optl builds — must all see
+// one analysis, i.e. the same backing array, and each application's
+// optimised layouts must share that application's single analysis.
+func TestLoopMemoSharedAcrossGoroutines(t *testing.T) {
+	st := smallStudy(t)
+	view := st.WithDrivePar(2)
+	const n = 12
+	got := make([][]Loop, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch g % 4 {
+			case 0:
+				got[g] = st.KernelLoops()
+			case 1:
+				got[g] = view.KernelLoops()
+			default:
+				name := []string{"opts", "optl"}[g%2]
+				_, plan, err := st.BuildStrategy(name, (4<<10)<<(g%3))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = plan.Loops
+			}
+		}(g)
+	}
+	wg.Wait()
+	want := st.KernelLoops()
+	if len(want) == 0 {
+		t.Fatal("kernel has no loops")
+	}
+	for g, loops := range got {
+		if unsafe.SliceData(loops) != unsafe.SliceData(want) || len(loops) != len(want) {
+			t.Fatalf("goroutine %d saw a different loop analysis", g)
+		}
+	}
+
+	for i, d := range st.Data {
+		if d.App == nil {
+			continue
+		}
+		a, err := st.AppOptLayout(i, 8<<10, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := view.AppOptLayout(i, 16<<10, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Loops) == 0 || unsafe.SliceData(a.Loops) != unsafe.SliceData(b.Loops) {
+			t.Fatalf("workload %d: application plans do not share one loop analysis", i)
 		}
 	}
 }
