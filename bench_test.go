@@ -159,10 +159,7 @@ var runManyGrid = []cache.Config{
 // sweep simulate optimised candidate layouts).
 func runManyLayout(b *testing.B, env *expt.Env) *layout.Layout {
 	b.Helper()
-	if err := env.St.UseAverageProfile(); err != nil {
-		b.Fatal(err)
-	}
-	plan, err := env.St.OptimizeWithCurrentProfile(oslayout.DefaultPlacementParams(8 << 10))
+	plan, err := env.St.Optimize(env.St.AvgOS, oslayout.DefaultPlacementParams(8<<10))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,15 +247,12 @@ func BenchmarkCompareGrid(b *testing.B) {
 // study computes it once and every build reuses it.
 func BenchmarkOptSConstruction(b *testing.B) {
 	env := sharedEnv(b)
-	if err := env.St.UseAverageProfile(); err != nil {
-		b.Fatal(err)
-	}
 	params := oslayout.DefaultPlacementParams(8 << 10)
 	env.St.KernelLoops()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.St.OptimizeWithCurrentProfile(params); err != nil {
+		if _, err := env.St.Optimize(env.St.AvgOS, params); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -308,12 +302,9 @@ func BenchmarkTraceSerialization(b *testing.B) {
 // BenchmarkMcFConstruction measures the McFarling-style baseline.
 func BenchmarkMcFConstruction(b *testing.B) {
 	env := sharedEnv(b)
-	if err := env.St.UseAverageProfile(); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mcflayout.New(env.St.Kernel.Prog, 0)
+		mcflayout.New(env.St.Kernel.Prog, env.St.AvgOS, 0)
 	}
 }
 

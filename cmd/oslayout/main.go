@@ -460,27 +460,17 @@ func writeJSON(dir, name string, r expt.Renderer) error {
 // trace and profile.
 func printStats(env *expt.Env, w io.Writer) {
 	k := env.St.Kernel.Prog
-	// Walking the workloads applies each per-workload profile to the kernel's
-	// weight fields in turn; snapshot the active weights first and restore
-	// them after, so a stats run leaves the study's profile state untouched
-	// and experiments rendered alongside stats see the same weights they
-	// would alone.
-	snap := env.St.CaptureKernelProfile()
-	defer snap.Apply(k)
 	fmt.Fprintf(w, "==== stats ====\n")
 	fmt.Fprintf(w, "kernel: %d routines, %d basic blocks, %d KB code, %d dispatch points\n",
 		k.NumRoutines(), k.NumBlocks(), k.CodeSize()>>10, k.NumDispatch)
-	for i, d := range env.St.Data {
+	for _, d := range env.St.Data {
 		osRefs, appRefs := d.Trace.Refs()
-		if err := env.St.UseWorkloadProfile(i); err != nil {
-			fmt.Fprintf(w, "%s: profile error: %v\n", d.Workload.Name, err)
-			continue
-		}
+		prof := d.OSProfile
 		fmt.Fprintf(w, "%-12s %9d events, OS refs %9d, app refs %9d, invocations %6d, executed %6d B (%.1f%%), %3d routines\n",
 			d.Workload.Name, d.Trace.NumEvents(), osRefs, appRefs,
 			d.OSProfile.TotalInvocations(),
-			k.ExecutedCodeSize(), 100*float64(k.ExecutedCodeSize())/float64(k.CodeSize()),
-			k.ExecutedRoutines())
+			prof.ExecutedCodeSize(k), 100*float64(prof.ExecutedCodeSize(k))/float64(k.CodeSize()),
+			prof.ExecutedRoutines(k))
 	}
 	fmt.Fprintln(w)
 }

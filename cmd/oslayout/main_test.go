@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"oslayout"
 	"oslayout/internal/expt"
 	"oslayout/internal/runstore"
 )
@@ -79,27 +82,34 @@ func TestStatsDoesNotPerturbExperiments(t *testing.T) {
 	}
 }
 
-// TestPrintStatsRestoresProfile checks the mechanism directly: the kernel's
-// weight fields are bit-identical before and after printStats.
+// TestPrintStatsRestoresProfile checks the mechanism directly: the kernel
+// program and every profile value of the study are bit-identical before
+// and after printStats.
 func TestPrintStatsRestoresProfile(t *testing.T) {
 	env, err := expt.NewEnv(expt.Options{OSRefs: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := env.St.UseAverageProfile(); err != nil {
-		t.Fatal(err)
-	}
-	k := env.St.Kernel.Prog
-	before := make([]uint64, k.NumBlocks())
-	for i := range k.Blocks {
-		before[i] = k.Blocks[i].Weight
-	}
-	printStats(env, io.Discard)
-	for i := range k.Blocks {
-		if k.Blocks[i].Weight != before[i] {
-			t.Fatalf("block %d weight changed from %d to %d across printStats",
-				i, before[i], k.Blocks[i].Weight)
+	digest := func() string {
+		h := sha256.New()
+		if err := json.NewEncoder(h).Encode(env.St.Kernel.Prog); err != nil {
+			t.Fatal(err)
 		}
+		profs := []*oslayout.Profile{env.St.AvgOS}
+		for _, d := range env.St.Data {
+			profs = append(profs, d.OSProfile)
+		}
+		for _, p := range profs {
+			if _, err := p.WriteTo(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	before := digest()
+	printStats(env, io.Discard)
+	if after := digest(); after != before {
+		t.Fatalf("study state changed across printStats: %s -> %s", before, after)
 	}
 }
 

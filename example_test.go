@@ -73,7 +73,7 @@ func ExampleStudy_Optimize() {
 	params := oslayout.DefaultPlacementParams(8 << 10)
 	params.Name = "OptL"
 	params.LoopExtract = true
-	plan, err := st.Optimize(params)
+	plan, err := st.Optimize(st.AvgOS, params)
 	if err != nil {
 		log.Fatal(err)
 	}

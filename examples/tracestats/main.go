@@ -42,9 +42,7 @@ func main() {
 	}
 	d := st.Data[idx]
 	k := st.Kernel.Prog
-	if err := st.UseWorkloadProfile(idx); err != nil {
-		log.Fatal(err)
-	}
+	prof := d.OSProfile
 
 	fmt.Printf("=== %s ===\n\n", d.Workload.Name)
 	osRefs, appRefs := d.Trace.Refs()
@@ -52,8 +50,8 @@ func main() {
 		osRefs, 100*float64(osRefs)/float64(osRefs+appRefs), appRefs)
 
 	fmt.Printf("executed OS code: %d bytes (%.1f%% of the kernel), %d of %d routines\n",
-		k.ExecutedCodeSize(), 100*float64(k.ExecutedCodeSize())/float64(k.CodeSize()),
-		k.ExecutedRoutines(), k.NumRoutines())
+		prof.ExecutedCodeSize(k), 100*float64(prof.ExecutedCodeSize(k))/float64(k.CodeSize()),
+		prof.ExecutedRoutines(k), k.NumRoutines())
 
 	total := float64(d.OSProfile.TotalInvocations())
 	fmt.Println("\nOS invocations by class (the paper's Table 1 row):")
@@ -69,8 +67,8 @@ func main() {
 	}
 	var rs []ri
 	var invTotal float64
-	for r := range k.Routines {
-		if inv := k.Routines[r].Invocations; inv > 0 {
+	for r, inv := range prof.RoutineInv {
+		if inv > 0 {
 			rs = append(rs, ri{k.Routines[r].Name, inv})
 			invTotal += float64(inv)
 		}

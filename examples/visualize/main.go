@@ -28,10 +28,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := st.UseAverageProfile(); err != nil {
-		log.Fatal(err)
-	}
 	k := st.Kernel
+	avg := st.AvgOS
 
 	// The paper's Figure 9 example routines.
 	names := []string{"push_hrtime", "read_hrc", "check_curtimer", "update_hrtimer", "hardclock"}
@@ -47,6 +45,7 @@ func main() {
 	// stdout: the flow graph (executed blocks only, like the paper's chart).
 	if err := k.Prog.WriteDot(os.Stdout, program.DotOptions{
 		Routines:       routines,
+		Weights:        avg.Block,
 		HideUnexecuted: true,
 	}); err != nil {
 		log.Fatal(err)
@@ -71,12 +70,12 @@ func main() {
 	}
 	for b := range k.Prog.Blocks {
 		blk := &k.Prog.Blocks[b]
-		if want[blk.Routine] && blk.Weight > 0 {
+		if want[blk.Routine] && avg.Block[b] > 0 {
 			rows = append(rows, placed{
 				addr:    plan.Layout.Addr[b],
 				routine: k.Prog.Routine(blk.Routine).Name,
 				block:   program.BlockID(b),
-				weight:  blk.Weight,
+				weight:  avg.Block[b],
 			})
 		}
 	}
@@ -93,7 +92,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  %s %#08x  %-16s blk%-6d w=%d\n",
 			marker, r.addr, r.routine, r.block, r.weight)
 	}
-	frags := plan.Layout.Fragments(true)
+	frags := plan.Layout.Fragments(avg)
 	fmt.Fprintf(os.Stderr, "\n%d blocks, %d routine transitions in address order\n", len(rows), transitions)
 	for i, r := range routines {
 		fmt.Fprintf(os.Stderr, "  %-16s split into %d fragment(s)\n", names[i], frags[r])

@@ -51,11 +51,8 @@ func BuildRoutineCFG(p *program.Program, r program.RoutineID) *RoutineCFG {
 			c.Succ[i] = append(c.Succ[i], j)
 			c.Pred[j] = append(c.Pred[j], i)
 		}
-		// Read arc targets by index: copying whole arcs would also read
-		// their profile weights, which a concurrent profile application
-		// may be rewriting. The CFG reads structural fields only.
-		for j := range b.Out {
-			add(b.Out[j].To)
+		for _, a := range b.Out {
+			add(a.To)
 		}
 		if b.HasCall && b.Call.Cont != program.NoBlock {
 			add(b.Call.Cont)
@@ -360,21 +357,28 @@ func LoopCalleeClosure(p *program.Program, cg map[program.RoutineID][]program.Ro
 
 // ExecutedSizeWithCallees returns the paper's Figure 5 metric: the static
 // size of the executed part of the loop body plus the executed part of every
-// routine it calls and their descendants. "Executed" means nonzero profile
-// weight; if the program has no profile, all blocks count.
-func ExecutedSizeWithCallees(p *program.Program, cg map[program.RoutineID][]program.RoutineID, lp *Loop) int64 {
-	hasProfile := p.TotalWeight() > 0
-	counts := func(b *program.BasicBlock) bool { return !hasProfile || b.Weight > 0 }
+// routine it calls and their descendants. "Executed" means a nonzero count
+// in blockW (per-block execution counts, a profile's Block slice); if blockW
+// is nil or all zero, all blocks count.
+func ExecutedSizeWithCallees(p *program.Program, blockW []uint64, cg map[program.RoutineID][]program.RoutineID, lp *Loop) int64 {
+	hasProfile := false
+	for _, w := range blockW {
+		if w > 0 {
+			hasProfile = true
+			break
+		}
+	}
+	counts := func(b program.BlockID) bool { return !hasProfile || blockW[b] > 0 }
 	var size int64
 	for _, bid := range lp.Body {
-		if b := p.Block(bid); counts(b) {
-			size += int64(b.Size)
+		if counts(bid) {
+			size += int64(p.Block(bid).Size)
 		}
 	}
 	for _, r := range LoopCalleeClosure(p, cg, lp) {
 		for _, bid := range p.Routine(r).Blocks {
-			if b := p.Block(bid); counts(b) {
-				size += int64(b.Size)
+			if counts(bid) {
+				size += int64(p.Block(bid).Size)
 			}
 		}
 	}

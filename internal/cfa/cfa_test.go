@@ -235,7 +235,6 @@ func TestCallGraphAndDescendants(t *testing.T) {
 	ab := p.AddBlock(a, 8)
 	ar := p.AddBlock(a, 8)
 	p.SetCall(ab, b, ar)
-	p.Block(ab).Call.Count = 1
 	bb := p.AddBlock(b, 8)
 	br := p.AddBlock(b, 8)
 	p.SetCall(bb, c, br)
@@ -262,18 +261,23 @@ func TestExecutedSizeWithCallees(t *testing.T) {
 	loops := FindLoops(p, caller)
 	cg := CallGraph(p)
 	// Without a profile every block counts: loop body (c1,c2) + whole leaf.
-	got := ExecutedSizeWithCallees(p, cg, &loops[0])
+	got := ExecutedSizeWithCallees(p, nil, cg, &loops[0])
 	if got != 8+8+16 {
 		t.Fatalf("size = %d, want 32", got)
 	}
+	// An all-zero profile counts every block too.
+	w := make([]uint64, p.NumBlocks())
+	if got := ExecutedSizeWithCallees(p, w, cg, &loops[0]); got != 8+8+16 {
+		t.Fatalf("zero-profile size = %d, want 32", got)
+	}
 	// With a profile, only executed blocks count.
 	for _, bid := range loops[0].Body {
-		p.Block(bid).Weight = 1
+		w[bid] = 1
 	}
-	p.Block(p.Routine(1).Blocks[0]).Weight = 1 // caller entry executed? id order: leaf=0
+	w[p.Routine(1).Blocks[0]] = 1 // caller entry executed? id order: leaf=0
 	leafBlocks := p.Routine(0).Blocks
-	p.Block(leafBlocks[0]).Weight = 1
-	got = ExecutedSizeWithCallees(p, cg, &loops[0])
+	w[leafBlocks[0]] = 1
+	got = ExecutedSizeWithCallees(p, w, cg, &loops[0])
 	if got != 8+8+8 {
 		t.Fatalf("profiled size = %d, want 24", got)
 	}

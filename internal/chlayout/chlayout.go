@@ -20,13 +20,14 @@ import (
 	"sort"
 
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
 // OrderRoutineBlocks performs intra-routine trace selection for routine r,
 // returning its blocks in placement order: executed traces by decreasing
 // weight, then unexecuted blocks in original order.
-func OrderRoutineBlocks(p *program.Program, r program.RoutineID) []program.BlockID {
+func OrderRoutineBlocks(p *program.Program, prof *profile.Profile, r program.RoutineID) []program.BlockID {
 	rt := p.Routine(r)
 	placed := make(map[program.BlockID]bool, len(rt.Blocks))
 
@@ -41,7 +42,7 @@ func OrderRoutineBlocks(p *program.Program, r program.RoutineID) []program.Block
 	// entry block always seeds the first trace so the routine starts at its
 	// entry.
 	pick := func() program.BlockID {
-		if !placed[rt.Entry] && p.Block(rt.Entry).Weight > 0 {
+		if !placed[rt.Entry] && prof.Block[rt.Entry] > 0 {
 			return rt.Entry
 		}
 		best := program.NoBlock
@@ -50,7 +51,7 @@ func OrderRoutineBlocks(p *program.Program, r program.RoutineID) []program.Block
 			if placed[b] {
 				continue
 			}
-			if w := p.Block(b).Weight; w > 0 && (best == program.NoBlock || w > bw) {
+			if w := prof.Block[b]; w > 0 && (best == program.NoBlock || w > bw) {
 				best, bw = b, w
 			}
 		}
@@ -62,28 +63,28 @@ func OrderRoutineBlocks(p *program.Program, r program.RoutineID) []program.Block
 		if seed == program.NoBlock {
 			break
 		}
-		t := tr{seed: p.Block(seed).Weight}
+		t := tr{seed: prof.Block[seed]}
 		// Grow forward along the heaviest outgoing arc.
 		for b := seed; b != program.NoBlock; {
 			placed[b] = true
 			t.blocks = append(t.blocks, b)
-			t.weight += p.Block(b).Weight
+			t.weight += prof.Block[b]
 			blk := p.Block(b)
 			next := program.NoBlock
 			var bw uint64
 			consider := func(to program.BlockID, w uint64) {
-				if placed[to] || p.Block(to).Weight == 0 || w == 0 {
+				if placed[to] || prof.Block[to] == 0 || w == 0 {
 					return
 				}
 				if next == program.NoBlock || w > bw {
 					next, bw = to, w
 				}
 			}
-			for _, a := range blk.Out {
-				consider(a.To, a.Weight)
+			for j, a := range blk.Out {
+				consider(a.To, prof.Arc[b][j])
 			}
 			if blk.HasCall && blk.Call.Cont != program.NoBlock {
-				consider(blk.Call.Cont, blk.Call.Count)
+				consider(blk.Call.Cont, prof.Call[b])
 			}
 			b = next
 		}
@@ -114,7 +115,7 @@ func OrderRoutineBlocks(p *program.Program, r program.RoutineID) []program.Block
 // OrderRoutines computes the inter-routine placement order: greedy chaining
 // of the weighted call graph so frequent callees directly follow their
 // callers, with unexecuted routines appended in original order.
-func OrderRoutines(p *program.Program) []program.RoutineID {
+func OrderRoutines(p *program.Program, prof *profile.Profile) []program.RoutineID {
 	// Collect call edges with weights.
 	type edge struct {
 		from, to program.RoutineID
@@ -123,8 +124,8 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 	agg := make(map[[2]program.RoutineID]uint64)
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
-		if b.HasCall && b.Call.Count > 0 && b.Routine != b.Call.Callee {
-			agg[[2]program.RoutineID{b.Routine, b.Call.Callee}] += b.Call.Count
+		if n := prof.Call[bi]; b.HasCall && n > 0 && b.Routine != b.Call.Callee {
+			agg[[2]program.RoutineID{b.Routine, b.Call.Callee}] += n
 		}
 	}
 	edges := make([]edge, 0, len(agg))
@@ -176,7 +177,7 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 	for id, rs := range chains {
 		var w uint64
 		for _, r := range rs {
-			w += p.Routine(r).Invocations
+			w += prof.RoutineInv[r]
 		}
 		cs = append(cs, chain{id: id, rs: rs, weight: w, first: rs[0]})
 	}
@@ -193,12 +194,13 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 	return out
 }
 
-// New builds the complete C-H layout for program p at the given base.
-func New(p *program.Program, base uint64) *layout.Layout {
+// New builds the complete C-H layout for program p from profile prof at
+// the given base.
+func New(p *program.Program, prof *profile.Profile, base uint64) *layout.Layout {
 	l := layout.New("C-H", p, base)
 	pb := layout.NewBuilder(l)
-	for _, r := range OrderRoutines(p) {
-		pb.AppendAll(OrderRoutineBlocks(p, r))
+	for _, r := range OrderRoutines(p, prof) {
+		pb.AppendAll(OrderRoutineBlocks(p, prof, r))
 	}
 	return l
 }

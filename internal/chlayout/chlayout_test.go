@@ -4,31 +4,33 @@ import (
 	"testing"
 
 	"oslayout/internal/kernelgen"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/progtest"
 )
 
 // profiledDiamond builds a diamond routine where the branch side is hot and
 // the fallthrough side cold, to exercise trace selection.
-func profiledDiamond() (*program.Program, program.RoutineID) {
+func profiledDiamond() (*program.Program, *profile.Profile, program.RoutineID) {
 	p, r := progtest.Diamond(0.1)
+	prof := profile.New(p)
 	// entry=0, a=1 (cold side, prob .1), b=2 (hot side), join=3, exit=4
 	weights := []uint64{100, 10, 90, 100, 100}
 	for i, w := range weights {
-		p.Blocks[i].Weight = w
+		prof.Block[i] = w
 	}
 	// Arc weights proportional.
-	p.Blocks[0].Out[0].Weight = 10 // entry->a
-	p.Blocks[0].Out[1].Weight = 90 // entry->b
-	p.Blocks[1].Out[0].Weight = 10
-	p.Blocks[2].Out[0].Weight = 90
-	p.Blocks[3].Out[0].Weight = 100
-	return p, r
+	prof.Arc[0][0] = 10 // entry->a
+	prof.Arc[0][1] = 90 // entry->b
+	prof.Arc[1][0] = 10
+	prof.Arc[2][0] = 90
+	prof.Arc[3][0] = 100
+	return p, prof, r
 }
 
 func TestOrderRoutineBlocksFollowsHotTrace(t *testing.T) {
-	p, r := profiledDiamond()
-	order := OrderRoutineBlocks(p, r)
+	p, prof, r := profiledDiamond()
+	order := OrderRoutineBlocks(p, prof, r)
 	if len(order) != 5 {
 		t.Fatalf("order has %d blocks, want 5", len(order))
 	}
@@ -44,11 +46,12 @@ func TestOrderRoutineBlocksFollowsHotTrace(t *testing.T) {
 
 func TestOrderRoutineBlocksUnexecutedLast(t *testing.T) {
 	p, r := progtest.Linear(4, 8)
+	prof := profile.New(p)
 	// Only the first two blocks executed.
-	p.Blocks[0].Weight = 10
-	p.Blocks[1].Weight = 10
-	p.Blocks[0].Out[0].Weight = 10
-	order := OrderRoutineBlocks(p, r)
+	prof.Block[0] = 10
+	prof.Block[1] = 10
+	prof.Arc[0][0] = 10
+	order := OrderRoutineBlocks(p, prof, r)
 	if order[0] != 0 || order[1] != 1 {
 		t.Fatalf("hot prefix misordered: %v", order)
 	}
@@ -60,9 +63,10 @@ func TestOrderRoutineBlocksUnexecutedLast(t *testing.T) {
 func TestOrderRoutineBlocksEntryFirst(t *testing.T) {
 	// Even if another block is hotter (inside a loop), the entry leads.
 	p, r, header, _, _ := progtest.LoopProgram(0.9)
-	p.Blocks[0].Weight = 10 // entry
-	p.Block(header).Weight = 100
-	order := OrderRoutineBlocks(p, r)
+	prof := profile.New(p)
+	prof.Block[0] = 10 // entry
+	prof.Block[header] = 100
+	order := OrderRoutineBlocks(p, prof, r)
 	if order[0] != p.Routine(r).Entry {
 		t.Fatalf("entry not first: %v", order)
 	}
@@ -70,13 +74,14 @@ func TestOrderRoutineBlocksEntryFirst(t *testing.T) {
 
 func TestOrderRoutinesCalleeFollowsCaller(t *testing.T) {
 	p, caller, leaf := progtest.CallPair()
+	prof := profile.New(p)
 	// Caller invokes leaf heavily.
 	callBlock := p.Routine(caller).Blocks[1]
-	p.Block(callBlock).Call.Count = 500
-	p.Block(callBlock).Weight = 500
-	p.Routine(caller).Invocations = 10
-	p.Routine(leaf).Invocations = 500
-	order := OrderRoutines(p)
+	prof.Call[callBlock] = 500
+	prof.Block[callBlock] = 500
+	prof.RoutineInv[caller] = 10
+	prof.RoutineInv[leaf] = 500
+	order := OrderRoutines(p, prof)
 	if len(order) != 2 {
 		t.Fatalf("order = %v", order)
 	}
@@ -89,10 +94,11 @@ func TestOrderRoutinesColdLast(t *testing.T) {
 	p, caller, leaf := progtest.CallPair()
 	cold := p.AddRoutine("cold")
 	p.AddBlock(cold, 8)
-	p.Block(p.Routine(caller).Blocks[1]).Call.Count = 5
-	p.Routine(caller).Invocations = 5
-	p.Routine(leaf).Invocations = 5
-	order := OrderRoutines(p)
+	prof := profile.New(p)
+	prof.Call[p.Routine(caller).Blocks[1]] = 5
+	prof.RoutineInv[caller] = 5
+	prof.RoutineInv[leaf] = 5
+	order := OrderRoutines(p, prof)
 	if order[len(order)-1] != cold {
 		t.Fatalf("cold routine not last: %v", order)
 	}
@@ -101,12 +107,13 @@ func TestOrderRoutinesColdLast(t *testing.T) {
 func TestNewLayoutValidOnKernel(t *testing.T) {
 	k := kernelgen.Build(kernelgen.Config{Seed: 2, TotalCodeBytes: 200 << 10, PoolScale: 0.3})
 	// Give it a synthetic profile: mark a spread of blocks executed.
+	prof := profile.New(k.Prog)
 	for i := range k.Prog.Blocks {
 		if i%3 == 0 {
-			k.Prog.Blocks[i].Weight = uint64(1 + i%100)
+			prof.Block[i] = uint64(1 + i%100)
 		}
 	}
-	l := New(k.Prog, 0)
+	l := New(k.Prog, prof, 0)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}

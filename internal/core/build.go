@@ -5,6 +5,7 @@ import (
 
 	"oslayout/internal/cfa"
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -119,13 +120,15 @@ type Plan struct {
 	Loops []cfa.Loop
 }
 
-// Optimize runs the paper's algorithm over a profiled program and returns
-// the plan. Entries gives the seed entry blocks (SeedEntries for kernels,
-// MainEntries for applications). Loops must be cfa.AllLoops(p): the
+// Optimize runs the paper's algorithm over program p with execution counts
+// from prof and returns the plan. Program and profile are only read, so
+// builds from any profiles may run concurrently on one program. Entries
+// gives the seed entry blocks (SeedEntries for kernels, MainEntries for
+// applications). Loops must be cfa.AllLoops(p): the
 // analysis is structural, so its owner (the study, which computes it once
 // per program) passes the same slice to every build, and the plan shares
 // it read-only as Plan.Loops.
-func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockID, loops []cfa.Loop, base uint64, params Params) (*Plan, error) {
+func Optimize(p *program.Program, prof *profile.Profile, entries [program.NumSeedClasses]program.BlockID, loops []cfa.Loop, base uint64, params Params) (*Plan, error) {
 	if params.CacheSize <= 0 {
 		return nil, fmt.Errorf("core: non-positive cache size %d", params.CacheSize)
 	}
@@ -141,14 +144,17 @@ func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockI
 	if params.Name == "" {
 		params.Name = "OptS"
 	}
-	if p.TotalWeight() == 0 {
+	if err := prof.Fits(p); err != nil {
+		return nil, fmt.Errorf("core: program %q: %w", p.Name, err)
+	}
+	if prof.Total() == 0 {
 		return nil, fmt.Errorf("core: program %q has no profile weights", p.Name)
 	}
 
 	plan := &Plan{Params: params, Loops: loops}
-	plan.Sequences, _ = BuildSequencesCapped(p, entries, params.Schedule, params.MaxSeqBytes)
+	plan.Sequences, _ = BuildSequencesCapped(p, prof, entries, params.Schedule, params.MaxSeqBytes)
 
-	adjusted := AdjustedWeights(p, plan.Loops)
+	adjusted := AdjustedWeights(p, prof, plan.Loops)
 	var scfBytes int64
 	plan.SelfConfFree, scfBytes = SelectSelfConfFree(p, adjusted, params.SelfConfFreeCutoff)
 	// The SelfConfFree area must leave at least some room for sequences in
@@ -166,12 +172,12 @@ func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockI
 	}
 	plan.SCFBytes = scfBytes
 
-	qual := QualifyingLoops(p, plan.Loops, params.LoopMinTrips)
+	qual := QualifyingLoops(p, prof, plan.Loops, params.LoopMinTrips)
 	loopSet := LoopBlockSet(qual)
 
 	// Classification (Figure 13): a block keeps the class it has under
 	// OptL, regardless of the variant actually built.
-	plan.Classes = classify(p, plan.Sequences, plan.SelfConfFree, loopSet)
+	plan.Classes = classify(p, prof, plan.Sequences, plan.SelfConfFree, loopSet)
 
 	// Blocks claimed by a special area are pulled out of the sequences.
 	pulled := make([]bool, p.NumBlocks())
@@ -193,18 +199,18 @@ func Optimize(p *program.Program, entries [program.NumSeedClasses]program.BlockI
 	if params.CallOpt {
 		C := uint64(params.CacheSize)
 		S := uint64((scfBytes + layout.Align - 1) &^ (layout.Align - 1))
-		callPlan = planCallOpt(p, qual, params.CallOptMaxRoutines, pulled, C, S)
+		callPlan = planCallOpt(p, prof, qual, params.CallOptMaxRoutines, pulled, C, S)
 	}
 
-	plan.Layout = assemble(p, plan, pulled, callPlan, base)
+	plan.Layout = assemble(p, prof, plan, pulled, callPlan, base)
 	return plan, nil
 }
 
 // classify computes the Figure 13 block classes.
-func classify(p *program.Program, seqs []Sequence, scf []program.BlockID, loopSet map[program.BlockID]bool) []BlockClass {
+func classify(p *program.Program, prof *profile.Profile, seqs []Sequence, scf []program.BlockID, loopSet map[program.BlockID]bool) []BlockClass {
 	classes := make([]BlockClass, p.NumBlocks())
-	for b := range p.Blocks {
-		if p.Blocks[b].Weight > 0 {
+	for b, w := range prof.Block {
+		if w > 0 {
 			classes[b] = ClassOtherSeq
 		}
 	}
@@ -216,7 +222,7 @@ func classify(p *program.Program, seqs []Sequence, scf []program.BlockID, loopSe
 		}
 	}
 	for b := range loopSet {
-		if p.Block(b).Weight > 0 {
+		if prof.Block[b] > 0 {
 			classes[b] = ClassLoops
 		}
 	}
@@ -231,7 +237,7 @@ func classify(p *program.Program, seqs []Sequence, scf []program.BlockID, loopSe
 // area) filling the rest of each logical cache, seldom-executed code in the
 // SelfConfFree windows of the other logical caches, call-optimised loops in
 // private logical caches, and the cold mass at the end.
-func assemble(p *program.Program, plan *Plan, pulled []bool, callPlan *callPlacement, base uint64) *layout.Layout {
+func assemble(p *program.Program, prof *profile.Profile, plan *Plan, pulled []bool, callPlan *callPlacement, base uint64) *layout.Layout {
 	C := uint64(plan.Params.CacheSize)
 	S := uint64((plan.SCFBytes + layout.Align - 1) &^ (layout.Align - 1))
 	if plan.Params.NoSCFWindows {
@@ -306,10 +312,10 @@ func assemble(p *program.Program, plan *Plan, pulled []bool, callPlan *callPlace
 	// Cold code: first fill the reserved SelfConfFree windows of logical
 	// caches 1..K with seldom-executed blocks, then append the rest after
 	// the hot region.
-	var cold []program.BlockID
+	cold := make([]program.BlockID, 0, len(prof.Block)-prof.ExecutedBlocks())
 	for r := range p.Routines {
 		for _, b := range p.Routines[r].Blocks {
-			if !placed[b] && p.Block(b).Weight == 0 {
+			if !placed[b] && prof.Block[b] == 0 {
 				cold = append(cold, b)
 			}
 		}

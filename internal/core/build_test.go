@@ -16,7 +16,7 @@ import (
 
 // profiledKernel builds a small kernel with a real profile from a short
 // Shell trace (Shell exercises the broadest code).
-func profiledKernel(t *testing.T) *kernelgen.Kernel {
+func profiledKernel(t *testing.T) (*kernelgen.Kernel, *profile.Profile) {
 	t.Helper()
 	k := kernelgen.Build(kernelgen.Config{Seed: 4, TotalCodeBytes: 250 << 10, PoolScale: 0.3})
 	tr, _, err := workload.Generate(k, workload.Shell(), workload.Options{Seed: 9, OSRefs: 300_000})
@@ -24,31 +24,29 @@ func profiledKernel(t *testing.T) *kernelgen.Kernel {
 		t.Fatal(err)
 	}
 	prof, _ := profile.FromTrace(tr)
-	if err := prof.Apply(k.Prog); err != nil {
-		t.Fatal(err)
-	}
-	return k
+	return k, prof
 }
 
 func TestAdjustedWeightsCountLoopsOnce(t *testing.T) {
 	p, _, header, latch, exit := progtest.LoopProgram(0.9)
+	prof := profile.New(p)
 	// 10 invocations, ~10 iterations each.
-	p.Blocks[0].Weight = 10
-	p.Block(header).Weight = 100
-	p.Block(header + 1).Weight = 100 // body
-	p.Block(latch).Weight = 100
-	p.Block(exit).Weight = 10
+	prof.Block[0] = 10
+	prof.Block[header] = 100
+	prof.Block[header+1] = 100 // body
+	prof.Block[latch] = 100
+	prof.Block[exit] = 10
 	// Back edge traversed 90 times.
 	lb := p.Block(latch)
 	for j := range lb.Out {
 		if lb.Out[j].To == header {
-			lb.Out[j].Weight = 90
+			prof.Arc[latch][j] = 90
 		} else {
-			lb.Out[j].Weight = 10
+			prof.Arc[latch][j] = 10
 		}
 	}
 	loops := cfa.AllLoops(p)
-	adj := AdjustedWeights(p, loops)
+	adj := AdjustedWeights(p, prof, loops)
 	// Entries = 100 - 90 = 10; loop blocks adjust from 100 to ~10.
 	for _, b := range []program.BlockID{header, header + 1, latch} {
 		if adj[b] != 10 {
@@ -58,10 +56,10 @@ func TestAdjustedWeightsCountLoopsOnce(t *testing.T) {
 	if adj[0] != 10 || adj[exit] != 10 {
 		t.Errorf("non-loop blocks must keep their weights")
 	}
-	if got := LoopTrips(p, &loops[0]); got < 9.9 || got > 10.1 {
+	if got := LoopTrips(p, prof, &loops[0]); got < 9.9 || got > 10.1 {
 		t.Errorf("LoopTrips = %.2f, want 10", got)
 	}
-	if got := LoopEntries(p, &loops[0]); got != 10 {
+	if got := LoopEntries(p, prof, &loops[0]); got != 10 {
 		t.Errorf("LoopEntries = %d, want 10", got)
 	}
 }
@@ -86,22 +84,23 @@ func TestSelectSelfConfFree(t *testing.T) {
 
 func TestQualifyingLoops(t *testing.T) {
 	p, _, header, latch, _ := progtest.LoopProgram(0.9)
-	p.Block(header).Weight = 100
+	prof := profile.New(p)
+	prof.Block[header] = 100
 	lb := p.Block(latch)
-	p.Block(latch).Weight = 100
+	prof.Block[latch] = 100
 	for j := range lb.Out {
 		if lb.Out[j].To == header {
-			lb.Out[j].Weight = 90
+			prof.Arc[latch][j] = 90
 		}
 	}
 	loops := cfa.AllLoops(p)
-	if got := QualifyingLoops(p, loops, 6); len(got) != 1 {
+	if got := QualifyingLoops(p, prof, loops, 6); len(got) != 1 {
 		t.Fatalf("trips=10 loop should qualify at minTrips 6")
 	}
-	if got := QualifyingLoops(p, loops, 20); len(got) != 0 {
+	if got := QualifyingLoops(p, prof, loops, 20); len(got) != 0 {
 		t.Fatalf("trips=10 loop must not qualify at minTrips 20")
 	}
-	set := LoopBlockSet(QualifyingLoops(p, loops, 6))
+	set := LoopBlockSet(QualifyingLoops(p, prof, loops, 6))
 	if len(set) != 3 {
 		t.Fatalf("loop block set = %d blocks, want 3", len(set))
 	}
@@ -110,19 +109,23 @@ func TestQualifyingLoops(t *testing.T) {
 func TestOptimizeRejectsBadInputs(t *testing.T) {
 	f := progtest.Figure9()
 	f.Prog.Seeds[program.SeedInterrupt] = f.Push
-	if _, err := Optimize(f.Prog, SeedEntries(f.Prog), cfa.AllLoops(f.Prog), 0, Params{CacheSize: 0}); err == nil {
+	prof := &profile.Profile{Block: f.Block, Arc: f.Arc, Call: f.Call, RoutineInv: f.RoutineInv}
+	if _, err := Optimize(f.Prog, prof, SeedEntries(f.Prog), cfa.AllLoops(f.Prog), 0, Params{CacheSize: 0}); err == nil {
 		t.Fatal("zero cache size accepted")
 	}
 	unprofiled := program.New("empty")
 	r := unprofiled.AddRoutine("r")
 	unprofiled.AddBlock(r, 8)
-	if _, err := Optimize(unprofiled, SeedEntries(f.Prog), cfa.AllLoops(unprofiled), 0, DefaultParams(8<<10)); err == nil {
+	if _, err := Optimize(unprofiled, profile.New(unprofiled), SeedEntries(f.Prog), cfa.AllLoops(unprofiled), 0, DefaultParams(8<<10)); err == nil {
 		t.Fatal("unprofiled program accepted")
+	}
+	if _, err := Optimize(unprofiled, prof, SeedEntries(f.Prog), cfa.AllLoops(unprofiled), 0, DefaultParams(8<<10)); err == nil {
+		t.Fatal("profile of another program accepted")
 	}
 }
 
 // layoutInvariants checks structural properties every plan must satisfy.
-func layoutInvariants(t *testing.T, k *kernelgen.Kernel, plan *Plan) {
+func layoutInvariants(t *testing.T, k *kernelgen.Kernel, prof *profile.Profile, plan *Plan) {
 	t.Helper()
 	if err := plan.Layout.Validate(); err != nil {
 		t.Fatal(err)
@@ -142,9 +145,9 @@ func layoutInvariants(t *testing.T, k *kernelgen.Kernel, plan *Plan) {
 		for b := range k.Prog.Blocks {
 			addr := plan.Layout.Addr[b]
 			off := addr % C
-			if addr >= C && off < S && k.Prog.Blocks[b].Weight > 0 {
+			if addr >= C && off < S && prof.Block[b] > 0 {
 				t.Fatalf("executed block %d (w=%d) inside reserved window at %#x",
-					b, k.Prog.Blocks[b].Weight, addr)
+					b, prof.Block[b], addr)
 			}
 		}
 	}
@@ -166,12 +169,12 @@ func layoutInvariants(t *testing.T, k *kernelgen.Kernel, plan *Plan) {
 }
 
 func TestOptSPlanInvariants(t *testing.T) {
-	k := profiledKernel(t)
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, DefaultParams(8<<10))
+	k, prof := profiledKernel(t)
+	plan, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, DefaultParams(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	layoutInvariants(t, k, plan)
+	layoutInvariants(t, k, prof, plan)
 	if len(plan.SelfConfFree) == 0 {
 		t.Fatal("default params should select a SelfConfFree area")
 	}
@@ -190,22 +193,22 @@ func TestOptSPlanInvariants(t *testing.T) {
 		inSeq[b] = true
 	}
 	for b := range k.Prog.Blocks {
-		if k.Prog.Blocks[b].Weight > 0 && !inSeq[program.BlockID(b)] {
+		if prof.Block[b] > 0 && !inSeq[program.BlockID(b)] {
 			t.Fatalf("executed block %d in no sequence", b)
 		}
 	}
 }
 
 func TestOptLExtractsLoopBlocks(t *testing.T) {
-	k := profiledKernel(t)
+	k, prof := profiledKernel(t)
 	params := DefaultParams(8 << 10)
 	params.Name = "OptL"
 	params.LoopExtract = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layoutInvariants(t, k, plan)
+	layoutInvariants(t, k, prof, plan)
 	if len(plan.LoopArea) == 0 {
 		t.Fatal("OptL extracted no loop blocks")
 	}
@@ -234,23 +237,23 @@ func TestOptLExtractsLoopBlocks(t *testing.T) {
 }
 
 func TestCallOptPlacesLoopsInPrivateLogicalCaches(t *testing.T) {
-	k := profiledKernel(t)
+	k, prof := profiledKernel(t)
 	params := DefaultParams(8 << 10)
 	params.Name = "Call"
 	params.LoopExtract = true
 	params.CallOpt = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layoutInvariants(t, k, plan)
+	layoutInvariants(t, k, prof, plan)
 }
 
 func TestNoSCFWindowsVariant(t *testing.T) {
-	k := profiledKernel(t)
+	k, prof := profiledKernel(t)
 	params := DefaultParams(7 << 10)
 	params.NoSCFWindows = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,21 +276,20 @@ func TestNoSCFWindowsVariant(t *testing.T) {
 }
 
 func TestClassification(t *testing.T) {
-	k := profiledKernel(t)
+	k, prof := profiledKernel(t)
 	params := DefaultParams(8 << 10)
 	params.LoopExtract = true
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := map[BlockClass]int{}
 	for b, c := range plan.Classes {
 		counts[c]++
-		blk := &k.Prog.Blocks[b]
-		if c == ClassCold && blk.Weight > 0 {
+		if c == ClassCold && prof.Block[b] > 0 {
 			t.Fatalf("executed block %d classified cold", b)
 		}
-		if c != ClassCold && blk.Weight == 0 {
+		if c != ClassCold && prof.Block[b] == 0 {
 			t.Fatalf("cold block %d classified %v", b, c)
 		}
 	}
@@ -314,12 +316,12 @@ func TestBlockClassString(t *testing.T) {
 // layout never places two distinct blocks at one address and is fully
 // deterministic for a fixed profile.
 func TestOptimizeDeterministic(t *testing.T) {
-	k := profiledKernel(t)
-	a, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, DefaultParams(8<<10))
+	k, prof := profiledKernel(t)
+	a, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, DefaultParams(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, DefaultParams(8<<10))
+	b, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, DefaultParams(8<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,12 +333,12 @@ func TestOptimizeDeterministic(t *testing.T) {
 }
 
 func TestSelfConfFreeCappedAtHalfCache(t *testing.T) {
-	k := profiledKernel(t)
+	k, prof := profiledKernel(t)
 	params := DefaultParams(4 << 10)
 	// An absurdly low cutoff would select tens of kilobytes of blocks; the
 	// area must be capped at half the cache so sequences still fit.
 	params.SelfConfFreeCutoff = 1e-9
-	plan, err := Optimize(k.Prog, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
+	plan, err := Optimize(k.Prog, prof, SeedEntries(k.Prog), cfa.AllLoops(k.Prog), 0, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestSelfConfFreeCappedAtHalfCache(t *testing.T) {
 	if err := plan.Layout.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	layoutInvariants(t, k, plan)
+	layoutInvariants(t, k, prof, plan)
 }
 
 func TestOptimizeApplicationWithMains(t *testing.T) {
@@ -359,16 +361,13 @@ func TestOptimizeApplicationWithMains(t *testing.T) {
 		tr.Events = w.WalkInvocation(app.Mains[i%len(app.Mains)], tr.Events)
 	}
 	prof, _ := profile.FromTrace(tr)
-	if err := prof.Apply(app.Prog); err != nil {
-		t.Fatal(err)
-	}
 	params := Params{
 		Name:         "OptA-app",
 		CacheSize:    8 << 10,
 		LoopExtract:  true,
 		LoopMinTrips: 6,
 	}
-	plan, err := Optimize(app.Prog, MainEntries(app.Prog, app.Mains), cfa.AllLoops(app.Prog), 1<<24, params)
+	plan, err := Optimize(app.Prog, prof, MainEntries(app.Prog, app.Mains), cfa.AllLoops(app.Prog), 1<<24, params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"oslayout/internal/cfa"
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -49,7 +50,7 @@ func alignedSize(p *program.Program, b program.BlockID) uint64 {
 // of them, ranked by invocation count and truncated to maxRoutines — and
 // resolves every placement offset. C and S are the logical cache size and
 // the SelfConfFree window size.
-func planCallOpt(p *program.Program, qual []*cfa.Loop, maxRoutines int, pulled []bool, C, S uint64) *callPlacement {
+func planCallOpt(p *program.Program, prof *profile.Profile, qual []*cfa.Loop, maxRoutines int, pulled []bool, C, S uint64) *callPlacement {
 	cg := cfa.CallGraph(p)
 	cp := &callPlacement{blocks: make(map[program.BlockID]bool)}
 	callers := make(map[program.RoutineID][]int)
@@ -60,7 +61,7 @@ func planCallOpt(p *program.Program, qual []*cfa.Loop, maxRoutines int, pulled [
 		li := len(cp.loops)
 		cl := callLoop{loop: lp}
 		for _, b := range lp.Body {
-			if p.Block(b).Weight > 0 && !pulled[b] && !cp.blocks[b] {
+			if prof.Block[b] > 0 && !pulled[b] && !cp.blocks[b] {
 				cp.blocks[b] = true
 				cl.blocks = append(cl.blocks, b)
 				cl.bytes += alignedSize(p, b)
@@ -78,12 +79,12 @@ func planCallOpt(p *program.Program, qual []*cfa.Loop, maxRoutines int, pulled [
 	// Rank matrix routines by invocation count; keep the top maxRoutines.
 	var top []program.RoutineID
 	for r := range callers {
-		if p.Routine(r).Invocations > 0 {
+		if prof.RoutineInv[r] > 0 {
 			top = append(top, r)
 		}
 	}
 	sort.Slice(top, func(i, j int) bool {
-		wi, wj := p.Routine(top[i]).Invocations, p.Routine(top[j]).Invocations
+		wi, wj := prof.RoutineInv[top[i]], prof.RoutineInv[top[j]]
 		if wi != wj {
 			return wi > wj
 		}
@@ -102,7 +103,7 @@ func planCallOpt(p *program.Program, qual []*cfa.Loop, maxRoutines int, pulled [
 	for _, r := range top {
 		rp := routinePlacement{routine: r}
 		for _, b := range p.Routine(r).Blocks {
-			if p.Block(b).Weight > 0 && !pulled[b] && !cp.blocks[b] {
+			if prof.Block[b] > 0 && !pulled[b] && !cp.blocks[b] {
 				rp.blocks = append(rp.blocks, b)
 				rp.bytes += alignedSize(p, b)
 			}

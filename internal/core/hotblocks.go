@@ -4,20 +4,21 @@ import (
 	"sort"
 
 	"oslayout/internal/cfa"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
 // LoopEntries returns the measured number of times the loop was entered:
 // header executions minus back-edge traversals (each iteration after the
 // first re-executes the header via a back edge).
-func LoopEntries(p *program.Program, lp *cfa.Loop) uint64 {
-	headerW := p.Block(lp.Header).Weight
+func LoopEntries(p *program.Program, prof *profile.Profile, lp *cfa.Loop) uint64 {
+	headerW := prof.Block[lp.Header]
 	var back uint64
 	for _, be := range lp.BackEdges {
 		latch := p.Block(be[0])
-		for _, a := range latch.Out {
+		for j, a := range latch.Out {
 			if a.To == be[1] {
-				back += a.Weight
+				back += prof.Arc[be[0]][j]
 			}
 		}
 	}
@@ -32,12 +33,12 @@ func LoopEntries(p *program.Program, lp *cfa.Loop) uint64 {
 
 // LoopTrips returns the measured mean iterations per invocation of the loop.
 // Unexecuted loops report 0.
-func LoopTrips(p *program.Program, lp *cfa.Loop) float64 {
-	headerW := p.Block(lp.Header).Weight
+func LoopTrips(p *program.Program, prof *profile.Profile, lp *cfa.Loop) float64 {
+	headerW := prof.Block[lp.Header]
 	if headerW == 0 {
 		return 0
 	}
-	entries := LoopEntries(p, lp)
+	entries := LoopEntries(p, prof, lp)
 	if entries == 0 {
 		return float64(headerW)
 	}
@@ -48,22 +49,20 @@ func LoopTrips(p *program.Program, lp *cfa.Loop) float64 {
 // counted as if their loop ran a single iteration per invocation — the
 // paper's rule for selecting SelfConfFree blocks without favouring loop
 // bodies (Section 4.2). Blocks outside loops keep their measured weight.
-func AdjustedWeights(p *program.Program, loops []cfa.Loop) []uint64 {
+func AdjustedWeights(p *program.Program, prof *profile.Profile, loops []cfa.Loop) []uint64 {
 	adj := make([]uint64, p.NumBlocks())
-	for b := range p.Blocks {
-		adj[b] = p.Blocks[b].Weight
-	}
+	copy(adj, prof.Block)
 	inner := cfa.BlocksInLoops(loops)
 	for b, lp := range inner {
-		w := p.Block(b).Weight
+		w := prof.Block[b]
 		if w == 0 {
 			continue
 		}
-		headerW := p.Block(lp.Header).Weight
+		headerW := prof.Block[lp.Header]
 		if headerW == 0 {
 			continue
 		}
-		entries := LoopEntries(p, lp)
+		entries := LoopEntries(p, prof, lp)
 		a := uint64(float64(w) * float64(entries) / float64(headerW))
 		if a == 0 {
 			a = 1
@@ -109,14 +108,14 @@ func SelectSelfConfFree(p *program.Program, adjusted []uint64, cutoff float64) (
 // iterations per invocation — the set whose blocks the OptL variant pulls
 // into the loop area, and (restricted to loops with callees) the set the
 // Section 4.4 advanced optimisation places in private logical caches.
-func QualifyingLoops(p *program.Program, loops []cfa.Loop, minTrips float64) []*cfa.Loop {
+func QualifyingLoops(p *program.Program, prof *profile.Profile, loops []cfa.Loop, minTrips float64) []*cfa.Loop {
 	var out []*cfa.Loop
 	for i := range loops {
 		lp := &loops[i]
-		if p.Block(lp.Header).Weight == 0 {
+		if prof.Block[lp.Header] == 0 {
 			continue
 		}
-		if LoopTrips(p, lp) >= minTrips {
+		if LoopTrips(p, prof, lp) >= minTrips {
 			out = append(out, lp)
 		}
 	}

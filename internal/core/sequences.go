@@ -18,8 +18,10 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -96,18 +98,42 @@ type Sequence struct {
 	Bytes  int64
 }
 
-// seqBuilder holds the shared state of sequence construction.
-type seqBuilder struct {
-	p       *program.Program
-	total   float64 // total block execution weight
-	visited []bool
+// node is one block as the sequence builder sees it: the profile's
+// execution count, the block's profile edges edges[lo:hi], and the
+// findStart search mark.
+type node struct {
+	w      uint64
+	lo, hi int32
 	// seen marks the blocks the current findStart search has reached:
-	// seen[b] == epoch. Each search bumps epoch instead of clearing, so the
+	// seen == epoch. Each search bumps epoch instead of clearing, so the
 	// restarts of a whole build share one allocation. The epoch cannot
 	// wrap: every search but the last of each (iteration, seed) phase
 	// places a block, so a build runs far fewer than 2^32 searches.
-	seen  []uint32
-	epoch uint32
+	seen uint32
+}
+
+// edge is one profile edge out of a block, in the order the walks try
+// them: each traversed intra-routine arc with its count, then for a call
+// block the callee's entry (only if the call executed) and the
+// continuation. Call edges are always hot; never-traversed arcs are left
+// out, since no walk follows them.
+type edge struct {
+	to   program.BlockID
+	call bool
+	w    uint64
+}
+
+// seqBuilder holds the shared state of sequence construction. The walks
+// read counts and edges only from the flat per-build nodes and edges, laid
+// out from the program and profile once per build; the restart search
+// reads nothing else.
+type seqBuilder struct {
+	p       *program.Program
+	nodes   []node
+	edges   []edge
+	total   float64 // total block execution weight
+	visited []bool
+	epoch   uint32
 	// queue and stack are the reusable BFS queue of findStart and the
 	// pending-continuation stack of a greedy walk.
 	queue []program.BlockID
@@ -125,16 +151,17 @@ func (sb *seqBuilder) acceptable(b program.BlockID, th Thresh) bool {
 	if sb.visited[b] {
 		return false
 	}
-	w := sb.p.Block(b).Weight
+	w := sb.nodes[b].w
 	return w > 0 && float64(w) >= th.Exec*sb.total
 }
 
 // BuildSequences runs the full schedule over the program's seeds and returns
-// the sequences in placement order (hottest first). Entries lists the seed
-// entry blocks; for kernels use SeedEntries, for applications the mains.
-// The returned visited set marks every block placed into some sequence.
-func BuildSequences(p *program.Program, entries [program.NumSeedClasses]program.BlockID, schedule Schedule) ([]Sequence, []bool) {
-	return BuildSequencesCapped(p, entries, schedule, 0)
+// the sequences in placement order (hottest first), reading execution counts
+// from prof (which must be shaped for p). Entries lists the seed entry
+// blocks; for kernels use SeedEntries, for applications the mains. The
+// returned visited set marks every block placed into some sequence.
+func BuildSequences(p *program.Program, prof *profile.Profile, entries [program.NumSeedClasses]program.BlockID, schedule Schedule) ([]Sequence, []bool) {
+	return BuildSequencesCapped(p, prof, entries, schedule, 0)
 }
 
 // BuildSequencesCapped is BuildSequences with an optional per-sequence byte
@@ -143,14 +170,8 @@ func BuildSequences(p *program.Program, entries [program.NumSeedClasses]program.
 // paper keeps its most important sequences at 1-4 KB "to reduce conflicts";
 // it achieves that by tuning the threshold schedule, and the cap offers the
 // same control directly (0 disables it).
-func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) ([]Sequence, []bool) {
-	sb := &seqBuilder{
-		p:       p,
-		total:   float64(p.TotalWeight()),
-		visited: make([]bool, p.NumBlocks()),
-		seen:    make([]uint32, p.NumBlocks()),
-		order:   make([]program.BlockID, 0, p.ExecutedBlocks()),
-	}
+func BuildSequencesCapped(p *program.Program, prof *profile.Profile, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) ([]Sequence, []bool) {
+	sb := newSeqBuilder(p, prof)
 	var seqs []Sequence
 	for iter, row := range schedule {
 		for class := 0; class < program.NumSeedClasses; class++ {
@@ -174,14 +195,14 @@ func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]pr
 	// edges — possible when profiles are averaged) become a final sequence
 	// ordered by weight.
 	start := len(sb.order)
-	for b := range p.Blocks {
-		if !sb.visited[b] && p.Blocks[b].Weight > 0 {
+	for b := range sb.nodes {
+		if !sb.visited[b] && sb.nodes[b].w > 0 {
 			sb.order = append(sb.order, program.BlockID(b))
 		}
 	}
 	if leftover := sb.order[start:]; len(leftover) > 0 {
-		sort.SliceStable(leftover, func(i, j int) bool {
-			return p.Block(leftover[i]).Weight > p.Block(leftover[j]).Weight
+		slices.SortStableFunc(leftover, func(a, b program.BlockID) int {
+			return cmp.Compare(sb.nodes[b].w, sb.nodes[a].w)
 		})
 		s := Sequence{Seed: program.SeedOther, Iter: len(schedule), Blocks: leftover}
 		for _, b := range leftover {
@@ -191,6 +212,59 @@ func BuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]pr
 		seqs = append(seqs, s)
 	}
 	return seqs, sb.visited
+}
+
+// newSeqBuilder lays out the per-build node and edge slices of program p
+// under profile prof.
+func newSeqBuilder(p *program.Program, prof *profile.Profile) *seqBuilder {
+	n := p.NumBlocks()
+	sb := &seqBuilder{
+		p:       p,
+		nodes:   make([]node, n),
+		visited: make([]bool, n),
+	}
+	// Only executed blocks get edges: the walks only ever leave placed or
+	// already-visited blocks, and only executed blocks are placed. Size
+	// the edges for all their arcs and calls, traversed or not, so the
+	// profile's per-block arc counts are walked once.
+	var total uint64
+	executed, maxEdges := 0, 0
+	for b, w := range prof.Block {
+		if w > 0 {
+			total += w
+			executed++
+			maxEdges += len(p.Blocks[b].Out)
+			if p.Blocks[b].HasCall {
+				maxEdges += 2
+			}
+		}
+	}
+	sb.total = float64(total)
+	sb.edges = make([]edge, 0, maxEdges)
+	for b, w := range prof.Block {
+		nd := &sb.nodes[b]
+		nd.w = w
+		nd.lo = int32(len(sb.edges))
+		if w > 0 {
+			blk := &p.Blocks[b]
+			for j, aw := range prof.Arc[b] {
+				if aw > 0 {
+					sb.edges = append(sb.edges, edge{to: blk.Out[j].To, w: aw})
+				}
+			}
+			if blk.HasCall {
+				if prof.Call[b] > 0 {
+					sb.edges = append(sb.edges, edge{to: p.Routines[blk.Call.Callee].Entry, call: true})
+				}
+				if blk.Call.Cont != program.NoBlock {
+					sb.edges = append(sb.edges, edge{to: blk.Call.Cont, call: true})
+				}
+			}
+		}
+		nd.hi = int32(len(sb.edges))
+	}
+	sb.order = make([]program.BlockID, 0, executed)
+	return sb
 }
 
 // chunkLen returns how many leading blocks form the next chunk of at most
@@ -282,19 +356,20 @@ func (sb *seqBuilder) next(cur program.BlockID, stack *[]program.BlockID, th Thr
 	if len(b.Out) > 0 {
 		best := program.NoBlock
 		var bestW uint64
-		bw := float64(b.Weight)
-		for _, a := range b.Out {
-			if a.Weight == 0 || sb.visited[a.To] {
+		nd := &sb.nodes[cur]
+		bw := float64(nd.w)
+		for _, e := range sb.edges[nd.lo:nd.hi] {
+			if sb.visited[e.to] {
 				continue
 			}
-			if bw > 0 && float64(a.Weight)/bw < th.Branch {
+			if bw > 0 && float64(e.w)/bw < th.Branch {
 				continue
 			}
-			if !sb.acceptable(a.To, th) {
+			if !sb.acceptable(e.to, th) {
 				continue
 			}
-			if best == program.NoBlock || a.Weight > bestW {
-				best, bestW = a.To, a.Weight
+			if best == program.NoBlock || e.w > bestW {
+				best, bestW = e.to, e.w
 			}
 		}
 		if best != program.NoBlock {
@@ -323,7 +398,7 @@ func (sb *seqBuilder) pop(stack *[]program.BlockID, th Thresh) program.BlockID {
 // acceptable block it reaches, ties going to the first encountered in BFS
 // order ("we start again from the seed looking for the next acceptable
 // basic block"). The search allocates nothing: it marks reached blocks with
-// a fresh epoch in sb.seen and reuses sb.queue, popping by index.
+// a fresh epoch in their node and reuses sb.queue, popping by index.
 func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.BlockID {
 	if sb.acceptable(seedEntry, th) {
 		return seedEntry
@@ -335,41 +410,27 @@ func (sb *seqBuilder) findStart(seedEntry program.BlockID, th Thresh) program.Bl
 	sb.epoch++
 	epoch := sb.epoch
 	queue := append(sb.queue[:0], seedEntry)
-	sb.seen[seedEntry] = epoch
+	sb.nodes[seedEntry].seen = epoch
 	var best program.BlockID = program.NoBlock
 	var bestW uint64
 	for i := 0; i < len(queue); i++ {
-		x := queue[i]
-		b := sb.p.Block(x)
-		tryEdge := func(to program.BlockID, hot bool) {
-			if sb.seen[to] == epoch {
-				return
-			}
-			if sb.visited[to] {
-				sb.seen[to] = epoch
-				queue = append(queue, to)
-				return
-			}
-			if hot && sb.acceptable(to, th) {
-				if w := sb.p.Block(to).Weight; best == program.NoBlock || w > bestW {
-					best, bestW = to, w
-				}
-			}
-		}
-		bw := float64(b.Weight)
-		for _, a := range b.Out {
-			if a.Weight == 0 {
+		nx := &sb.nodes[queue[i]]
+		bw := float64(nx.w)
+		for _, e := range sb.edges[nx.lo:nx.hi] {
+			to := &sb.nodes[e.to]
+			if to.seen == epoch {
 				continue
 			}
-			hot := bw == 0 || float64(a.Weight)/bw >= th.Branch
-			tryEdge(a.To, hot)
-		}
-		if b.HasCall {
-			if b.Call.Count > 0 {
-				tryEdge(sb.p.Routine(b.Call.Callee).Entry, true)
+			if sb.visited[e.to] {
+				to.seen = epoch
+				queue = append(queue, e.to)
+				continue
 			}
-			if b.Call.Cont != program.NoBlock {
-				tryEdge(b.Call.Cont, true)
+			hot := e.call || bw == 0 || float64(e.w)/bw >= th.Branch
+			if hot && sb.acceptable(e.to, th) {
+				if best == program.NoBlock || to.w > bestW {
+					best, bestW = e.to, to.w
+				}
 			}
 		}
 	}

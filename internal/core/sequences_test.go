@@ -17,6 +17,11 @@ import (
 )
 
 // fig9Entries maps the push_hrtime entry onto the interrupt seed slot.
+// fig9Profile returns the Figure 9 fixture's counts as a profile.
+func fig9Profile(f *progtest.Figure9Fixture) *profile.Profile {
+	return &profile.Profile{Block: f.Block, Arc: f.Arc, Call: f.Call, RoutineInv: f.RoutineInv}
+}
+
 func fig9Entries(f *progtest.Figure9Fixture) [program.NumSeedClasses]program.BlockID {
 	var e [program.NumSeedClasses]program.BlockID
 	for c := range e {
@@ -46,7 +51,8 @@ func fig9Schedule() Schedule {
 // seed. The second, catch-all pass collects the rare blocks.
 func TestFigure9SequenceConstruction(t *testing.T) {
 	f := progtest.Figure9()
-	seqs, visited := BuildSequences(f.Prog, fig9Entries(f), fig9Schedule())
+	prof := fig9Profile(f)
+	seqs, visited := BuildSequences(f.Prog, prof, fig9Entries(f), fig9Schedule())
 	if len(seqs) != 2 {
 		t.Fatalf("built %d sequences, want 2", len(seqs))
 	}
@@ -94,7 +100,7 @@ func TestFigure9SequenceConstruction(t *testing.T) {
 	}
 
 	for b := range f.Prog.Blocks {
-		if f.Prog.Blocks[b].Weight > 0 && !visited[b] {
+		if prof.Block[b] > 0 && !visited[b] {
 			t.Fatalf("executed block %d never placed in a sequence", b)
 		}
 	}
@@ -105,16 +111,17 @@ func TestFigure9SequenceConstruction(t *testing.T) {
 // is excluded from the first pass even though it meets ExecThresh.
 func TestSequenceBranchThreshold(t *testing.T) {
 	p, _ := progtest.Diamond(0.1)
+	prof := profile.New(p)
 	// entry=0 (w100) splits 10/90 to a=1/b=2; join=3; exit=4.
 	ws := []uint64{100, 10, 90, 100, 100}
 	for i, w := range ws {
-		p.Blocks[i].Weight = w
+		prof.Block[i] = w
 	}
-	p.Blocks[0].Out[0].Weight = 10
-	p.Blocks[0].Out[1].Weight = 90
-	p.Blocks[1].Out[0].Weight = 10
-	p.Blocks[2].Out[0].Weight = 90
-	p.Blocks[3].Out[0].Weight = 100
+	prof.Arc[0][0] = 10
+	prof.Arc[0][1] = 90
+	prof.Arc[1][0] = 10
+	prof.Arc[2][0] = 90
+	prof.Arc[3][0] = 100
 
 	var entries [program.NumSeedClasses]program.BlockID
 	for c := range entries {
@@ -128,7 +135,7 @@ func TestSequenceBranchThreshold(t *testing.T) {
 	// ExecThresh 0 accepts every executed block; BranchThresh 0.5 only
 	// allows the hot arc out of the entry.
 	row[0] = Thresh{Exec: 0, Branch: 0.5}
-	seqs, _ := BuildSequences(p, entries, Schedule{row})
+	seqs, _ := BuildSequences(p, prof, entries, Schedule{row})
 	// Walk: 0 -> 2 (0.9) -> 3 (1.0) -> 4; block 1 is reachable only through
 	// a 0.1 arc, below BranchThresh, so neither the walk nor the restart
 	// reaches it. It is executed, so the leftover sweep collects it into a
@@ -155,9 +162,10 @@ func TestSequenceBranchThreshold(t *testing.T) {
 // placed in any sequence even at (0,0).
 func TestSequencesPruneUnexecuted(t *testing.T) {
 	p, _ := progtest.Linear(4, 8)
-	p.Blocks[0].Weight = 10
-	p.Blocks[1].Weight = 10
-	p.Blocks[0].Out[0].Weight = 10
+	prof := profile.New(p)
+	prof.Block[0] = 10
+	prof.Block[1] = 10
+	prof.Arc[0][0] = 10
 	var entries [program.NumSeedClasses]program.BlockID
 	for c := range entries {
 		entries[c] = program.NoBlock
@@ -168,7 +176,7 @@ func TestSequencesPruneUnexecuted(t *testing.T) {
 		row[c] = inactive
 	}
 	row[0] = Thresh{Exec: 0, Branch: 0}
-	seqs, visited := BuildSequences(p, entries, Schedule{row})
+	seqs, visited := BuildSequences(p, prof, entries, Schedule{row})
 	var placed int
 	for _, s := range seqs {
 		placed += len(s.Blocks)
@@ -234,7 +242,8 @@ func TestSeedAndMainEntries(t *testing.T) {
 
 func TestBuildSequencesCapped(t *testing.T) {
 	f := progtest.Figure9()
-	seqs, visited := BuildSequencesCapped(f.Prog, fig9Entries(f), fig9Schedule(), 64)
+	prof := fig9Profile(f)
+	seqs, visited := BuildSequencesCapped(f.Prog, prof, fig9Entries(f), fig9Schedule(), 64)
 	// Every sequence respects the cap (single oversized blocks excepted;
 	// the fixture's blocks are 16 bytes so none apply).
 	var placed int
@@ -245,7 +254,7 @@ func TestBuildSequencesCapped(t *testing.T) {
 		placed += len(s.Blocks)
 	}
 	// Capping must not change WHAT is placed, only how it is chunked.
-	uncapped, _ := BuildSequences(f.Prog, fig9Entries(f), fig9Schedule())
+	uncapped, _ := BuildSequences(f.Prog, prof, fig9Entries(f), fig9Schedule())
 	var placedU int
 	for _, s := range uncapped {
 		placedU += len(s.Blocks)
@@ -254,7 +263,7 @@ func TestBuildSequencesCapped(t *testing.T) {
 		t.Fatalf("capped placement covers %d blocks, uncapped %d", placed, placedU)
 	}
 	for b := range f.Prog.Blocks {
-		if f.Prog.Blocks[b].Weight > 0 && !visited[b] {
+		if prof.Block[b] > 0 && !visited[b] {
 			t.Fatalf("executed block %d missing under capping", b)
 		}
 	}
@@ -283,6 +292,7 @@ func TestBuildSequencesCapped(t *testing.T) {
 // naiveSeqBuilder holds the shared state of sequence construction.
 type naiveSeqBuilder struct {
 	p       *program.Program
+	prof    *profile.Profile
 	total   float64 // total block execution weight
 	visited []bool
 	// restarts counts findStart calls that search past the seed entry
@@ -296,7 +306,7 @@ func (sb *naiveSeqBuilder) acceptable(b program.BlockID, th Thresh) bool {
 	if sb.visited[b] {
 		return false
 	}
-	w := sb.p.Block(b).Weight
+	w := sb.prof.Block[b]
 	return w > 0 && float64(w) >= th.Exec*sb.total
 }
 
@@ -306,10 +316,11 @@ func (sb *naiveSeqBuilder) acceptable(b program.BlockID, th Thresh) bool {
 // paper keeps its most important sequences at 1-4 KB "to reduce conflicts";
 // it achieves that by tuning the threshold schedule, and the cap offers the
 // same control directly (0 disables it).
-func naiveBuildSequencesCapped(p *program.Program, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) ([]Sequence, []bool, int) {
+func naiveBuildSequencesCapped(p *program.Program, prof *profile.Profile, entries [program.NumSeedClasses]program.BlockID, schedule Schedule, maxSeqBytes int64) ([]Sequence, []bool, int) {
 	sb := &naiveSeqBuilder{
 		p:       p,
-		total:   float64(p.TotalWeight()),
+		prof:    prof,
+		total:   float64(prof.Total()),
 		visited: make([]bool, p.NumBlocks()),
 	}
 	var seqs []Sequence
@@ -337,13 +348,13 @@ func naiveBuildSequencesCapped(p *program.Program, entries [program.NumSeedClass
 	// ordered by weight.
 	var leftover []program.BlockID
 	for b := range p.Blocks {
-		if !sb.visited[b] && p.Blocks[b].Weight > 0 {
+		if !sb.visited[b] && prof.Block[b] > 0 {
 			leftover = append(leftover, program.BlockID(b))
 		}
 	}
 	if len(leftover) > 0 {
 		sort.SliceStable(leftover, func(i, j int) bool {
-			return p.Block(leftover[i]).Weight > p.Block(leftover[j]).Weight
+			return prof.Block[leftover[i]] > prof.Block[leftover[j]]
 		})
 		s := Sequence{Seed: program.SeedOther, Iter: len(schedule), Blocks: leftover}
 		for _, b := range leftover {
@@ -420,19 +431,20 @@ func (sb *naiveSeqBuilder) next(cur program.BlockID, stack *[]program.BlockID, t
 	if len(b.Out) > 0 {
 		best := program.NoBlock
 		var bestW uint64
-		bw := float64(b.Weight)
-		for _, a := range b.Out {
-			if a.Weight == 0 || sb.visited[a.To] {
+		bw := float64(sb.prof.Block[cur])
+		for j, a := range b.Out {
+			aw := sb.prof.Arc[cur][j]
+			if aw == 0 || sb.visited[a.To] {
 				continue
 			}
-			if bw > 0 && float64(a.Weight)/bw < th.Branch {
+			if bw > 0 && float64(aw)/bw < th.Branch {
 				continue
 			}
 			if !sb.acceptable(a.To, th) {
 				continue
 			}
-			if best == program.NoBlock || a.Weight > bestW {
-				best, bestW = a.To, a.Weight
+			if best == program.NoBlock || aw > bestW {
+				best, bestW = a.To, aw
 			}
 		}
 		if best != program.NoBlock {
@@ -488,21 +500,22 @@ func (sb *naiveSeqBuilder) findStart(seedEntry program.BlockID, th Thresh) progr
 				return
 			}
 			if hot && sb.acceptable(to, th) {
-				if w := sb.p.Block(to).Weight; best == program.NoBlock || w > bestW {
+				if w := sb.prof.Block[to]; best == program.NoBlock || w > bestW {
 					best, bestW = to, w
 				}
 			}
 		}
-		bw := float64(b.Weight)
-		for _, a := range b.Out {
-			if a.Weight == 0 {
+		bw := float64(sb.prof.Block[x])
+		for j, a := range b.Out {
+			aw := sb.prof.Arc[x][j]
+			if aw == 0 {
 				continue
 			}
-			hot := bw == 0 || float64(a.Weight)/bw >= th.Branch
+			hot := bw == 0 || float64(aw)/bw >= th.Branch
 			tryEdge(a.To, hot)
 		}
 		if b.HasCall {
-			if b.Call.Count > 0 {
+			if sb.prof.Call[x] > 0 {
 				tryEdge(sb.p.Routine(b.Call.Callee).Entry, true)
 			}
 			if b.Call.Cont != program.NoBlock {
@@ -514,10 +527,10 @@ func (sb *naiveSeqBuilder) findStart(seedEntry program.BlockID, th Thresh) progr
 }
 
 // profiledSeedKernel builds the default-size kernel at the given seed and
-// applies the average of short-trace profiles of the paper's four
+// returns it with the average of short-trace profiles of the paper's four
 // workloads — the profile shape the experiments build layouts from,
 // leftover blocks included.
-func profiledSeedKernel(t testing.TB, seed int64) *kernelgen.Kernel {
+func profiledSeedKernel(t testing.TB, seed int64) (*kernelgen.Kernel, *profile.Profile) {
 	t.Helper()
 	cfg := kernelgen.DefaultConfig()
 	cfg.Seed = seed
@@ -535,18 +548,15 @@ func profiledSeedKernel(t testing.TB, seed int64) *kernelgen.Kernel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := avg.Apply(k.Prog); err != nil {
-		t.Fatal(err)
-	}
-	return k
+	return k, avg
 }
 
 // checkAgainstOracle builds sequences with both builders and fails on the
 // first difference in sequence metadata, block order or visited set.
-func checkAgainstOracle(t *testing.T, p *program.Program, entries [program.NumSeedClasses]program.BlockID, sched Schedule, maxSeqBytes int64) []Sequence {
+func checkAgainstOracle(t *testing.T, p *program.Program, prof *profile.Profile, entries [program.NumSeedClasses]program.BlockID, sched Schedule, maxSeqBytes int64) []Sequence {
 	t.Helper()
-	got, gotV := BuildSequencesCapped(p, entries, sched, maxSeqBytes)
-	want, wantV, _ := naiveBuildSequencesCapped(p, entries, sched, maxSeqBytes)
+	got, gotV := BuildSequencesCapped(p, prof, entries, sched, maxSeqBytes)
+	want, wantV, _ := naiveBuildSequencesCapped(p, prof, entries, sched, maxSeqBytes)
 	if len(got) != len(want) {
 		t.Fatalf("built %d sequences, oracle %d", len(got), len(want))
 	}
@@ -575,11 +585,11 @@ func TestBuildSequencesMatchesNaiveOracle(t *testing.T) {
 		sched Schedule
 	}{{"default", DefaultSchedule()}, {"table4", Table4Schedule()}}
 	for _, seed := range []int64{1995, 7, 42} {
-		k := profiledSeedKernel(t, seed)
+		k, prof := profiledSeedKernel(t, seed)
 		for _, sc := range schedules {
 			for _, maxSeqBytes := range []int64{0, 2048} {
 				t.Run(fmt.Sprintf("seed%d/%s/cap%d", seed, sc.name, maxSeqBytes), func(t *testing.T) {
-					checkAgainstOracle(t, k.Prog, SeedEntries(k.Prog), sc.sched, maxSeqBytes)
+					checkAgainstOracle(t, k.Prog, prof, SeedEntries(k.Prog), sc.sched, maxSeqBytes)
 				})
 			}
 		}
@@ -596,12 +606,9 @@ func TestBuildSequencesMatchesNaiveOracleApplication(t *testing.T) {
 		tr.Events = w.WalkInvocation(app.Mains[i%len(app.Mains)], tr.Events)
 	}
 	prof, _ := profile.FromTrace(tr)
-	if err := prof.Apply(app.Prog); err != nil {
-		t.Fatal(err)
-	}
 	entries := MainEntries(app.Prog, app.Mains)
 	for _, maxSeqBytes := range []int64{0, 2048} {
-		if seqs := checkAgainstOracle(t, app.Prog, entries, DefaultSchedule(), maxSeqBytes); len(seqs) == 0 {
+		if seqs := checkAgainstOracle(t, app.Prog, prof, entries, DefaultSchedule(), maxSeqBytes); len(seqs) == 0 {
 			t.Fatal("no application sequences built")
 		}
 	}
@@ -621,10 +628,10 @@ func TestFindStartTieBreak(t *testing.T) {
 	for _, n := range []string{"S", "A", "B", "x1", "y1", "y2", "z1", "z2"} {
 		node[n] = p.AddBlock(r, 16)
 	}
+	arcW := map[string][]uint64{}
 	arc := func(from, to string, w uint64) {
 		p.AddArc(node[from], node[to], program.ArcBranch, 0)
-		out := p.Block(node[from]).Out
-		out[len(out)-1].Weight = w
+		arcW[from] = append(arcW[from], w)
 	}
 	arc("S", "A", 90)
 	arc("S", "x1", 10)
@@ -633,8 +640,12 @@ func TestFindStartTieBreak(t *testing.T) {
 	arc("A", "y2", 10)
 	arc("B", "z1", 10)
 	arc("B", "z2", 12)
+	prof := profile.New(p)
 	for n, w := range map[string]uint64{"S": 100, "A": 100, "B": 100, "x1": 10, "y1": 10, "y2": 10, "z1": 10, "z2": 12} {
-		p.Block(node[n]).Weight = w
+		prof.Block[node[n]] = w
+	}
+	for n, ws := range arcW {
+		copy(prof.Arc[node[n]], ws)
 	}
 	p.Seeds[program.SeedInterrupt] = r
 
@@ -644,7 +655,7 @@ func TestFindStartTieBreak(t *testing.T) {
 	}
 	hot[program.SeedInterrupt] = Thresh{Exec: 0.2, Branch: 0.1}
 	all[program.SeedInterrupt] = Thresh{}
-	seqs := checkAgainstOracle(t, p, SeedEntries(p), Schedule{hot, all}, 0)
+	seqs := checkAgainstOracle(t, p, prof, SeedEntries(p), Schedule{hot, all}, 0)
 
 	rev := map[program.BlockID]string{}
 	for n, b := range node {
@@ -676,13 +687,13 @@ const maxBuildAllocs = 64
 // allows allocations, so even one allocation per restart fails the test
 // (the map-based oracle makes thousands).
 func TestBuildSequencesAllocations(t *testing.T) {
-	k := profiledSeedKernel(t, 1995)
+	k, prof := profiledSeedKernel(t, 1995)
 	entries, sched := SeedEntries(k.Prog), DefaultSchedule()
-	if _, _, restarts := naiveBuildSequencesCapped(k.Prog, entries, sched, 0); restarts <= maxBuildAllocs {
+	if _, _, restarts := naiveBuildSequencesCapped(k.Prog, prof, entries, sched, 0); restarts <= maxBuildAllocs {
 		t.Fatalf("only %d restart searches; the fixture cannot expose per-restart allocations", restarts)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		BuildSequences(k.Prog, entries, sched)
+		BuildSequences(k.Prog, prof, entries, sched)
 	})
 	if allocs > maxBuildAllocs {
 		t.Fatalf("BuildSequences made %.0f allocations, want at most %d", allocs, maxBuildAllocs)

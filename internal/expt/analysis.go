@@ -32,16 +32,14 @@ type Table1Row struct {
 func (e *Env) RunTable1() (*Table1, error) {
 	k := e.St.Kernel.Prog
 	t := &Table1{}
-	for i, d := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
+	for _, d := range e.St.Data {
+		prof := d.OSProfile
 		row := Table1Row{
 			Workload:     d.Workload.Name,
-			ExecBytes:    k.ExecutedCodeSize(),
-			ExecBytesPct: 100 * float64(k.ExecutedCodeSize()) / float64(k.CodeSize()),
-			ExecBBPct:    100 * float64(k.ExecutedBlocks()) / float64(k.NumBlocks()),
-			ExecRoutines: k.ExecutedRoutines(),
+			ExecBytes:    prof.ExecutedCodeSize(k),
+			ExecBytesPct: 100 * float64(prof.ExecutedCodeSize(k)) / float64(k.CodeSize()),
+			ExecBBPct:    100 * float64(prof.ExecutedBlocks()) / float64(k.NumBlocks()),
+			ExecRoutines: prof.ExecutedRoutines(k),
 		}
 		total := float64(d.OSProfile.TotalInvocations())
 		for c := 0; c < program.NumSeedClasses; c++ {
@@ -122,11 +120,8 @@ func (e *Env) RunFigure1() (*Figure1, error) {
 
 	// Attribute the peaks: rank the routine pairs sharing cache sets under
 	// the Base layout, weighted by this workload's profile.
-	if err := e.St.UseWorkloadProfile(workloadIdx); err != nil {
-		return nil, err
-	}
 	k := e.St.Kernel.Prog
-	for _, pr := range metrics.ConflictPairs(k, e.Base(), cfg, 5) {
+	for _, pr := range metrics.ConflictPairs(k, e.St.Data[workloadIdx].OSProfile, e.Base(), cfg, 5) {
 		f.TopConflicts = append(f.TopConflicts,
 			fmt.Sprintf("%s <-> %s (weight %d)",
 				k.Routine(pr.A).Name, k.Routine(pr.B).Name, pr.Weight))
@@ -160,11 +155,8 @@ type Figure2 struct {
 // RunFigure2 computes Figure 2.
 func (e *Env) RunFigure2() (*Figure2, error) {
 	f := &Figure2{Workloads: e.Workloads()}
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
-		f.Hists = append(f.Hists, simulate.RefHistogram(e.St.Kernel.Prog, e.Base(), 1<<10))
+	for _, d := range e.St.Data {
+		f.Hists = append(f.Hists, simulate.RefHistogram(e.St.Kernel.Prog, d.OSProfile, e.Base(), 1<<10))
 	}
 	return f, nil
 }
@@ -186,10 +178,7 @@ type Figure3 struct {
 
 // RunFigure3 computes Figure 3 over the union of the workload profiles.
 func (e *Env) RunFigure3() (*Figure3, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
-		return nil, err
-	}
-	return &Figure3{Stats: metrics.ArcProbabilities(e.St.Kernel.Prog)}, nil
+	return &Figure3{Stats: metrics.ArcProbabilities(e.St.Kernel.Prog, e.St.AvgOS)}, nil
 }
 
 // Render draws the histogram and headline fractions.
@@ -244,11 +233,9 @@ func (e *Env) RunTable2() (*Table2, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
-		t.CoreRows = append(t.CoreRows, metrics.Characterize(e.St.Data[i].Trace, coreSet, res))
-		t.RegRows = append(t.RegRows, metrics.Characterize(e.St.Data[i].Trace, regSet, res))
+		d := e.St.Data[i]
+		t.CoreRows = append(t.CoreRows, metrics.Characterize(d.Trace, d.OSProfile, coreSet, res))
+		t.RegRows = append(t.RegRows, metrics.Characterize(d.Trace, d.OSProfile, regSet, res))
 	}
 	return t, nil
 }
@@ -284,12 +271,8 @@ type Table3 struct {
 func (e *Env) RunTable3() (*Table3, error) {
 	t := &Table3{Workloads: e.Workloads()}
 	k := e.St.Kernel.Prog
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
-		loops := e.St.KernelLoops()
-		t.Rows = append(t.Rows, metrics.CallFreeLoopFractions(k, loops))
+	for _, d := range e.St.Data {
+		t.Rows = append(t.Rows, metrics.CallFreeLoopFractions(k, d.OSProfile, e.St.KernelLoops()))
 	}
 	return t, nil
 }
@@ -316,12 +299,8 @@ type Figure45 struct {
 
 // RunFigure45 computes Figures 4 and 5 over the averaged profile.
 func (e *Env) RunFigure45() (*Figure45, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
-		return nil, err
-	}
-	loops := e.St.KernelLoops()
 	f := &Figure45{}
-	f.CallFree, f.WithCalls = metrics.LoopBehaviors(e.St.Kernel.Prog, loops)
+	f.CallFree, f.WithCalls = metrics.LoopBehaviors(e.St.Kernel.Prog, e.St.AvgOS, e.St.KernelLoops())
 	return f, nil
 }
 
@@ -379,11 +358,8 @@ type Figure6 struct {
 // RunFigure6 computes Figure 6.
 func (e *Env) RunFigure6() (*Figure6, error) {
 	f := &Figure6{Workloads: e.Workloads()}
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
-		skew := metrics.InvocationSkew(e.St.Kernel.Prog)
+	for _, d := range e.St.Data {
+		skew := metrics.InvocationSkew(d.OSProfile)
 		f.Executed = append(f.Executed, len(skew))
 		if len(skew) > 15 {
 			skew = skew[:15]
@@ -417,10 +393,7 @@ type Figure7 struct {
 
 // RunFigure7 computes Figure 7.
 func (e *Env) RunFigure7() (*Figure7, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
-		return nil, err
-	}
-	top := metrics.TopRoutines(e.St.Kernel.Prog, 10)
+	top := metrics.TopRoutines(e.St.AvgOS, 10)
 	var rs []metrics.ReuseStats
 	for i := range e.St.Data {
 		rs = append(rs, metrics.TemporalReuse(e.St.Data[i].Trace, top))
@@ -456,10 +429,7 @@ type Figure8 struct {
 
 // RunFigure8 computes Figure 8 over the averaged (union) profile.
 func (e *Env) RunFigure8() (*Figure8, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
-		return nil, err
-	}
-	return &Figure8{Skew: metrics.BlockInvocationSkew(e.St.Kernel.Prog, e.St.KernelLoops())}, nil
+	return &Figure8{Skew: metrics.BlockInvocationSkew(e.St.Kernel.Prog, e.St.AvgOS, e.St.KernelLoops())}, nil
 }
 
 // Render summarises the skew.

@@ -86,10 +86,10 @@ type Attribution struct {
 const topSetsShown = 4
 
 // RunCompare builds each strategy (once for size-independent strategies,
-// per size otherwise) and evaluates the full grid. Layout construction is
-// serial (profile application mutates kernel weights); evaluation batches
-// cache sizes sharing a (trace, layout) pair through the single-pass engine
-// and runs the batches in parallel.
+// per size otherwise) and evaluates the full grid. Layouts are built first,
+// one after another (builds are memoized and could run concurrently);
+// evaluation batches cache sizes sharing a (trace, layout) pair through the
+// single-pass engine and runs the batches in parallel.
 func (e *Env) RunCompare(strategies []string, sizes []int, line, assoc int) (*Compare, error) {
 	return e.RunCompareDetail(strategies, sizes, line, assoc, false)
 }

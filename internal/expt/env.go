@@ -65,11 +65,10 @@ type Options struct {
 	// of building one: the environment then shares its traces, its
 	// layout-strategy cache and its compiled-stream cache with every other
 	// environment over the same study (the serve daemon pools studies
-	// across compare jobs this way). OSRefs and KernelSeed are ignored —
-	// the caller keys the pool by them. Layout evaluation is read-only and
-	// concurrency-safe, but experiments that re-apply kernel profiles
-	// in place (the analysis extensions) must not run concurrently on one
-	// shared study.
+	// across all its jobs this way). OSRefs and KernelSeed are ignored —
+	// the caller keys the pool by them. A study is immutable (profiles are
+	// values, never applied to its programs), so any experiments may run
+	// concurrently on one shared study.
 	Study *oslayout.Study
 }
 
@@ -117,16 +116,13 @@ func NewEnv(opt Options) (*Env, error) {
 		}
 	}
 	// Share the study's own strategy cache rather than carrying a second
-	// one: BuildStrategy calls and experiment builds then serialise under
-	// one lock and share one memo map. On a pooled study the recorder is
-	// last-writer-wins across jobs; build spans may land on a sibling's
-	// trace, the builds themselves stay memoized and correct.
-	layouts := st.StrategyCache()
-	layouts.SetRecorder(opt.Recorder)
+	// one: BuildStrategy calls and experiment builds then share one memo
+	// map. Every build request carries this environment's recorder, so on
+	// a pooled study a build span lands on the job that ran the build.
 	return &Env{
 		St:       st,
 		rec:      opt.Recorder,
-		layouts:  layouts,
+		layouts:  st.StrategyCache(),
 		onWindow: opt.OnWindow,
 		par:      opt.Par,
 		cpus:     opt.CPUs,
@@ -159,7 +155,7 @@ func BuildStudy(opt Options) (*oslayout.Study, error) {
 // Strategy returns the memoized build of a registered layout strategy for
 // the given cache size (ignored by size-independent strategies).
 func (e *Env) Strategy(name string, size int) (*layout.Layout, *oslayout.Plan, error) {
-	b, err := e.layouts.Build(name, strategy.Params{CacheSize: size})
+	b, err := e.layouts.Build(name, strategy.Params{CacheSize: size}, e.rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,9 +193,10 @@ func (e *Env) Base() *layout.Layout {
 }
 
 // plan memoises custom placement plans (parameter variants outside the
-// strategy registry) by an opaque key.
+// strategy registry) by an opaque key, which must name the profile the
+// plan builds from.
 func (e *Env) plan(key string, build func() (*oslayout.Plan, error)) (*oslayout.Plan, error) {
-	b, err := e.layouts.Custom(key, func(strategy.Study) (*layout.Layout, *core.Plan, error) {
+	b, err := e.layouts.Custom(key, e.rec, func(strategy.Study) (*layout.Layout, *core.Plan, error) {
 		p, err := build()
 		if err != nil {
 			return nil, nil, err
@@ -215,18 +212,18 @@ func (e *Env) plan(key string, build func() (*oslayout.Plan, error)) (*oslayout.
 // OptSCutoff returns an OptS variant with a specific SelfConfFree cutoff
 // (used by the Figure 16 sweep); cutoff 0 disables the area ("None").
 func (e *Env) OptSCutoff(size int, cutoff float64) (*oslayout.Plan, error) {
-	key := fmt.Sprintf("OptS/%d/scf=%g", size, cutoff)
+	key := fmt.Sprintf("OptS/%d/scf=%g/%s", size, cutoff, strategy.AvgProfile)
 	return e.plan(key, func() (*oslayout.Plan, error) {
 		p := oslayout.DefaultPlacementParams(size)
 		p.SelfConfFreeCutoff = cutoff
 		p.Name = fmt.Sprintf("OptS-scf%g", cutoff)
-		return e.St.Optimize(p)
+		return e.St.Optimize(e.St.AvgOS, p)
 	})
 }
 
 // AppBase returns workload i's Base application layout (nil if none).
 func (e *Env) AppBase(i int) *layout.Layout {
-	b, err := e.layouts.Custom(fmt.Sprintf("appbase/%d", i), func(strategy.Study) (*layout.Layout, *core.Plan, error) {
+	b, err := e.layouts.Custom(fmt.Sprintf("appbase/%d", i), e.rec, func(strategy.Study) (*layout.Layout, *core.Plan, error) {
 		return e.St.AppBaseLayout(i), nil, nil
 	})
 	if err != nil {
@@ -235,14 +232,26 @@ func (e *Env) AppBase(i int) *layout.Layout {
 	return b.Layout
 }
 
-// AppOpt returns workload i's optimised application layout aligned against
-// the given OS plan, or nil when the workload has no application.
+// AppOpt returns workload i's optimised application layout, built from the
+// workload's application profile and aligned against the given OS plan, or
+// nil when the workload has no application.
+//
+// The layout is memoized on the study like every other build, so jobs
+// sharing a pooled study also share its compiled streams.
 func (e *Env) AppOpt(i int, cacheSize int, osPlan *oslayout.Plan) (*layout.Layout, error) {
-	plan, err := e.St.AppOptLayout(i, cacheSize, oslayout.OSHotBytes(osPlan, cacheSize))
-	if err != nil || plan == nil {
+	hot := oslayout.OSHotBytes(osPlan, cacheSize)
+	key := fmt.Sprintf("AppOpt/%d/%d/hot=%d/app-w%d", i, cacheSize, hot, i)
+	b, err := e.layouts.Custom(key, e.rec, func(strategy.Study) (*layout.Layout, *core.Plan, error) {
+		plan, err := e.St.AppOptLayout(i, cacheSize, hot)
+		if err != nil || plan == nil {
+			return nil, nil, err
+		}
+		return plan.Layout, plan, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return plan.Layout, nil
+	return b.Layout, nil
 }
 
 // Eval simulates workload i under the given layouts and cache, with the

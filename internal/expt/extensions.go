@@ -63,12 +63,9 @@ func (e *Env) RunCrossProfile() (*CrossProfile, error) {
 	}
 
 	for i := 0; i < n; i++ {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
 		params := oslayout.DefaultPlacementParams(cfg.Size)
 		params.Name = fmt.Sprintf("OptS-from-%s", x.Workloads[i])
-		plan, err := e.St.OptimizeWithCurrentProfile(params)
+		plan, err := e.St.Optimize(e.St.Data[i].OSProfile, params)
 		if err != nil {
 			return nil, err
 		}
@@ -204,9 +201,6 @@ func (e *Env) RunAblation() (*Ablation, error) {
 	a := &Ablation{Workloads: e.Workloads()}
 
 	mk := func(name string, mutate func(*core.Params), entries func() [program.NumSeedClasses]program.BlockID) (*oslayout.Plan, error) {
-		if err := e.St.UseAverageProfile(); err != nil {
-			return nil, err
-		}
 		params := oslayout.DefaultPlacementParams(cfg.Size)
 		params.Name = name
 		if mutate != nil {
@@ -216,7 +210,7 @@ func (e *Env) RunAblation() (*Ablation, error) {
 		if entries != nil {
 			ent = entries()
 		}
-		return core.Optimize(e.St.Kernel.Prog, ent, e.St.KernelLoops(), 0, params)
+		return core.Optimize(e.St.Kernel.Prog, e.St.AvgOS, ent, e.St.KernelLoops(), 0, params)
 	}
 
 	singleSeed := func() [program.NumSeedClasses]program.BlockID {

@@ -12,7 +12,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
 	"oslayout/internal/metrics"
-	"oslayout/internal/program"
+	"oslayout/internal/profile"
 )
 
 // Overhead quantifies the paper's Section 4.3 remark that basic-block
@@ -50,13 +50,10 @@ func (e *Env) RunOverhead() (*Overhead, error) {
 	}
 	layouts := []*layout.Layout{ch, opts.Layout, optl.Layout}
 	k := e.St.Kernel.Prog
-	for i := range e.St.Data {
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
+	for _, d := range e.St.Data {
 		var row []float64
 		for _, l := range layouts {
-			row = append(row, metrics.DynamicOverheadPct(k, e.Base(), l))
+			row = append(row, metrics.DynamicOverheadPct(k, d.OSProfile, e.Base(), l))
 		}
 		o.Pct = append(o.Pct, row)
 	}
@@ -184,8 +181,6 @@ func (e *Env) RunNoise() (*Noise, error) {
 		Levels:    []float64{0, 0.25, 0.5, 0.9},
 		Workloads: e.Workloads(),
 	}
-	k := e.St.Kernel.Prog
-
 	baseTotals := make([]uint64, len(e.St.Data))
 	for i := range e.St.Data {
 		res, err := e.Eval(i, e.Base(), nil, cfg)
@@ -196,15 +191,13 @@ func (e *Env) RunNoise() (*Noise, error) {
 	}
 
 	for li, level := range n.Levels {
-		if err := e.St.UseAverageProfile(); err != nil {
-			return nil, err
-		}
+		prof := e.St.AvgOS
 		if level > 0 {
-			perturbWeights(k, level, int64(4243+li))
+			prof = perturbWeights(prof, level, int64(4243+li))
 		}
 		params := oslayout.DefaultPlacementParams(cfg.Size)
 		params.Name = fmt.Sprintf("OptS-noise%.2f", level)
-		plan, err := e.St.OptimizeWithCurrentProfile(params)
+		plan, err := e.St.Optimize(prof, params)
 		if err != nil {
 			return nil, err
 		}
@@ -221,9 +214,10 @@ func (e *Env) RunNoise() (*Noise, error) {
 	return n, nil
 }
 
-// perturbWeights scales every nonzero block and arc weight by a random
-// factor in [1-level, 1+level], keeping executed blocks executed.
-func perturbWeights(p *program.Program, level float64, seed int64) {
+// perturbWeights returns a copy of prof with every nonzero block, arc, call
+// and invocation count scaled by a random factor in [1-level, 1+level],
+// keeping executed blocks executed. prof itself is left untouched.
+func perturbWeights(prof *profile.Profile, level float64, seed int64) *profile.Profile {
 	rng := rand.New(rand.NewSource(seed))
 	scale := func(w uint64) uint64 {
 		if w == 0 {
@@ -236,17 +230,29 @@ func perturbWeights(p *program.Program, level float64, seed int64) {
 		}
 		return v
 	}
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		b.Weight = scale(b.Weight)
-		for j := range b.Out {
-			b.Out[j].Weight = scale(b.Out[j].Weight)
+	// Draw in the order block, its arcs, its call — block by block — then
+	// routines, so each seed keeps producing the same perturbation.
+	out := &profile.Profile{
+		Block:      make([]uint64, len(prof.Block)),
+		Arc:        make([][]uint64, len(prof.Arc)),
+		Call:       make([]uint64, len(prof.Call)),
+		RoutineInv: make([]uint64, len(prof.RoutineInv)),
+		ClassInv:   prof.ClassInv,
+	}
+	for i, w := range prof.Block {
+		out.Block[i] = scale(w)
+		if arcs := prof.Arc[i]; arcs != nil {
+			out.Arc[i] = make([]uint64, len(arcs))
+			for j, aw := range arcs {
+				out.Arc[i][j] = scale(aw)
+			}
 		}
-		b.Call.Count = scale(b.Call.Count)
+		out.Call[i] = scale(prof.Call[i])
 	}
-	for r := range p.Routines {
-		p.Routines[r].Invocations = scale(p.Routines[r].Invocations)
+	for r, inv := range prof.RoutineInv {
+		out.RoutineInv[r] = scale(inv)
 	}
+	return out
 }
 
 // Render formats the noise sweep.
@@ -289,9 +295,6 @@ type Fragmentation struct {
 
 // RunFragmentation computes the statistics under the averaged profile.
 func (e *Env) RunFragmentation() (*Fragmentation, error) {
-	if err := e.St.UseAverageProfile(); err != nil {
-		return nil, err
-	}
 	ch, err := e.Layout("ch", 0)
 	if err != nil {
 		return nil, err
@@ -302,7 +305,7 @@ func (e *Env) RunFragmentation() (*Fragmentation, error) {
 	}
 	fr := &Fragmentation{Layouts: []string{"Base", "C-H", "OptS"}}
 	for _, l := range []*layout.Layout{e.Base(), ch, plan.Layout} {
-		frags := l.Fragments(true)
+		frags := l.Fragments(e.St.AvgOS)
 		var sum, split, n float64
 		max := 0
 		for _, f := range frags {

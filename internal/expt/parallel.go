@@ -26,9 +26,10 @@ func (e *Env) parEach(n int, f func(i int) error) error {
 // failing sweep reports deterministically regardless of worker scheduling.
 // Cache simulations are pure (each run builds its own cache and only reads
 // the shared trace, layout and program), so the sweep experiments fan their
-// grid points out across cores. Plan and layout CONSTRUCTION is not
-// parallel-safe — it mutates the kernel program's weight fields — so
-// callers build all layouts first, then evaluate in parallel.
+// grid points out across cores. Layout construction is pure too (it reads
+// immutable profiles), but callers still build their layouts first, one
+// after another, and fan out only the evaluation: the builds are memoized
+// and parallelising them is a separate change.
 func parEachN(workers, n int, f func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -89,8 +89,9 @@ func (e *Env) RunFigure18X() (*Figure18X, error) {
 	f.Final = make([][]string, nw)
 	f.Traj = make([][]string, nw)
 
-	// Application layouts come from the strategy cache; build them serially
-	// before the parallel evaluation (layout construction mutates weights).
+	// Application layouts come from the strategy cache; build them before
+	// the parallel evaluation, one after another for simplicity (builds read
+	// immutable profiles and could run concurrently).
 	appOpts := make([]*oslayout.Layout, nw)
 	for i := 0; i < nw; i++ {
 		appOpt, err := e.AppOpt(i, cfg.Size, plan)

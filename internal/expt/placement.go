@@ -208,17 +208,15 @@ func (e *Env) RunFigure13() (*Figure13, error) {
 	k := e.St.Kernel.Prog
 	for i := range e.St.Data {
 		// Reference shares from the workload profile.
-		if err := e.St.UseWorkloadProfile(i); err != nil {
-			return nil, err
-		}
+		prof := e.St.Data[i].OSProfile
 		var refs [4]float64
 		var total float64
 		for b := range k.Blocks {
-			blk := &k.Blocks[b]
-			if blk.Weight == 0 {
+			w := prof.Block[b]
+			if w == 0 {
 				continue
 			}
-			r := float64(blk.Weight) * float64(trace.RefsOf(blk.Size))
+			r := float64(w) * float64(trace.RefsOf(k.Blocks[b].Size))
 			refs[figure13Class(classes[b])] += r
 			total += r
 		}

@@ -8,6 +8,7 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
+	"oslayout/internal/strategy"
 	"oslayout/internal/timing"
 )
 
@@ -37,8 +38,9 @@ func (e *Env) RunFigure15() (*Figure15, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Build every layout serially (plan construction mutates kernel
-	// weights), then evaluate the whole grid in parallel.
+	// Build every layout first, then evaluate the whole grid in parallel.
+	// The builds run one after another only for simplicity: they read
+	// immutable profiles and could run concurrently.
 	base := e.Base()
 	layoutsBySize := make([][3]*layout.Layout, len(f.Sizes))
 	for si, size := range f.Sizes {
@@ -366,11 +368,11 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 	// Resv: the SelfConfFree-qualifying blocks live in a dedicated 1KB
 	// cache; the OS image keeps them contiguous but reserves no windows in
 	// the other logical caches ("laid out without SelfConfFree area").
-	noSCF, err := e.plan("Resv/7K", func() (*oslayout.Plan, error) {
+	noSCF, err := e.plan("Resv/7K/"+strategy.AvgProfile, func() (*oslayout.Plan, error) {
 		p := oslayout.DefaultPlacementParams(7 << 10)
 		p.Name = "Resv"
 		p.NoSCFWindows = true
-		return e.St.Optimize(p)
+		return e.St.Optimize(e.St.AvgOS, p)
 	})
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -145,12 +146,12 @@ func (pb *Builder) Fits(size int32, limit uint64) bool {
 // the signature of the paper's cross-routine sequences, where "a sequence
 // may contain a few basic blocks of the caller routine, then the most
 // important basic blocks of the callee routine, and then a few basic blocks
-// more from the caller routine". executedOnly restricts the analysis to
-// blocks with nonzero profile weight.
-func (l *Layout) Fragments(executedOnly bool) map[program.RoutineID]int {
+// more from the caller routine". A non-nil prof restricts the analysis to
+// the blocks it counts as executed; nil analyses every block.
+func (l *Layout) Fragments(prof *profile.Profile) map[program.RoutineID]int {
 	var blocks []program.BlockID
 	for b := range l.Prog.Blocks {
-		if executedOnly && l.Prog.Blocks[b].Weight == 0 {
+		if prof != nil && prof.Block[b] == 0 {
 			continue
 		}
 		blocks = append(blocks, program.BlockID(b))

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/progtest"
 )
@@ -144,15 +145,16 @@ func TestFragments(t *testing.T) {
 	// Two routines; routine B's block placed between routine A's blocks
 	// splits A into two runs.
 	p, caller, leaf := progtest.CallPair()
-	for i := range p.Blocks {
-		p.Blocks[i].Weight = 1
+	prof := profile.New(p)
+	for i := range prof.Block {
+		prof.Block[i] = 1
 	}
 	l := New("f", p, 0)
 	// leaf blocks 0,1; caller blocks 2..5. Interleave: 2, 3, 0, 1, 4, 5.
 	for i, b := range []program.BlockID{2, 3, 0, 1, 4, 5} {
 		l.Place(b, uint64(i*8))
 	}
-	frags := l.Fragments(true)
+	frags := l.Fragments(prof)
 	if frags[caller] != 2 {
 		t.Fatalf("caller fragments = %d, want 2 (split by the inlined leaf)", frags[caller])
 	}
@@ -161,17 +163,17 @@ func TestFragments(t *testing.T) {
 	}
 	// Gaps from a routine's own unexecuted blocks do not split it: drop
 	// the leaf blocks from the executed set; the caller becomes one run.
-	p.Blocks[0].Weight = 0
-	p.Blocks[1].Weight = 0
-	frags = l.Fragments(true)
+	prof.Block[0] = 0
+	prof.Block[1] = 0
+	frags = l.Fragments(prof)
 	if frags[caller] != 1 {
 		t.Fatalf("caller fragments = %d, want 1 once the leaf is cold", frags[caller])
 	}
 	if _, ok := frags[leaf]; ok {
-		t.Fatal("cold leaf should not appear under executedOnly")
+		t.Fatal("cold leaf should not appear under a profile")
 	}
-	// With executedOnly false the leaf splits the caller again.
-	frags = l.Fragments(false)
+	// Without a profile the leaf splits the caller again.
+	frags = l.Fragments(nil)
 	if frags[caller] != 2 || frags[leaf] != 1 {
 		t.Fatalf("all-blocks fragments = %v", frags)
 	}

@@ -26,13 +26,14 @@ import (
 	"sort"
 
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
 // OrderRoutines returns the routines in weighted depth-first call order from
 // the hottest roots, executed routines only, followed by never-executed
 // routines in original order.
-func OrderRoutines(p *program.Program) []program.RoutineID {
+func OrderRoutines(p *program.Program, prof *profile.Profile) []program.RoutineID {
 	// Aggregate call weights caller → callee.
 	type edge struct {
 		to program.RoutineID
@@ -41,8 +42,8 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 	calls := make(map[program.RoutineID][]edge)
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
-		if b.HasCall && b.Call.Count > 0 && b.Routine != b.Call.Callee {
-			calls[b.Routine] = append(calls[b.Routine], edge{b.Call.Callee, b.Call.Count})
+		if n := prof.Call[bi]; b.HasCall && n > 0 && b.Routine != b.Call.Callee {
+			calls[b.Routine] = append(calls[b.Routine], edge{b.Call.Callee, n})
 		}
 	}
 	for r := range calls {
@@ -60,7 +61,7 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 	// the entry paths lead the image.
 	executed := func(r program.RoutineID) bool {
 		for _, b := range p.Routines[r].Blocks {
-			if p.Block(b).Weight > 0 {
+			if prof.Block[b] > 0 {
 				return true
 			}
 		}
@@ -73,7 +74,7 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 		}
 	}
 	sort.SliceStable(roots, func(i, j int) bool {
-		return p.Routine(roots[i]).Invocations > p.Routine(roots[j]).Invocations
+		return prof.RoutineInv[roots[i]] > prof.RoutineInv[roots[j]]
 	})
 	var seedRoots []program.RoutineID
 	for _, s := range p.Seeds {
@@ -111,14 +112,14 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 // New builds the McFarling-style layout: executed blocks of each routine in
 // static order, routines in weighted DFS call order, and every
 // never-executed block in a cold section after the hot image.
-func New(p *program.Program, base uint64) *layout.Layout {
+func New(p *program.Program, prof *profile.Profile, base uint64) *layout.Layout {
 	l := layout.New("McF", p, base)
 	pb := layout.NewBuilder(l)
-	order := OrderRoutines(p)
+	order := OrderRoutines(p, prof)
 	var cold []program.BlockID
 	for _, r := range order {
 		for _, b := range p.Routines[r].Blocks {
-			if p.Block(b).Weight > 0 {
+			if prof.Block[b] > 0 {
 				pb.Append(b)
 			} else {
 				cold = append(cold, b)

@@ -12,16 +12,17 @@ import (
 
 func TestOrderRoutinesCalleeFollowsCaller(t *testing.T) {
 	p, caller, leaf := progtest.CallPair()
+	prof := profile.New(p)
 	callBlock := p.Routine(caller).Blocks[1]
-	p.Block(callBlock).Call.Count = 100
+	prof.Call[callBlock] = 100
 	for _, r := range []program.RoutineID{caller, leaf} {
 		for _, b := range p.Routine(r).Blocks {
-			p.Block(b).Weight = 1
+			prof.Block[b] = 1
 		}
 	}
-	p.Routine(caller).Invocations = 10
-	p.Routine(leaf).Invocations = 100
-	order := OrderRoutines(p)
+	prof.RoutineInv[caller] = 10
+	prof.RoutineInv[leaf] = 100
+	order := OrderRoutines(p, prof)
 	// DFS from the hottest root: leaf is hottest by invocations, but the
 	// caller's DFS pulls the leaf immediately after it when visited first…
 	// here leaf (100 invocations) roots first and has no callees, then
@@ -37,15 +38,16 @@ func TestOrderRoutinesCalleeFollowsCaller(t *testing.T) {
 
 func TestOrderRoutinesSeedsLead(t *testing.T) {
 	p, caller, _ := progtest.CallPair()
+	prof := profile.New(p)
 	for _, b := range p.Routine(caller).Blocks {
-		p.Block(b).Weight = 1
+		prof.Block[b] = 1
 	}
-	p.Block(p.Routine(caller).Blocks[1]).Call.Count = 1
+	prof.Call[p.Routine(caller).Blocks[1]] = 1
 	for _, b := range p.Routine(0).Blocks {
-		p.Block(b).Weight = 1
+		prof.Block[b] = 1
 	}
 	p.Seeds[program.SeedInterrupt] = caller
-	order := OrderRoutines(p)
+	order := OrderRoutines(p, prof)
 	if order[0] != caller {
 		t.Fatalf("seed routine should lead the image: %v", order)
 	}
@@ -53,16 +55,17 @@ func TestOrderRoutinesSeedsLead(t *testing.T) {
 
 func TestNewMovesColdCodeToEnd(t *testing.T) {
 	f := progtest.Figure9()
+	prof := &profile.Profile{Block: f.Block, Arc: f.Arc, Call: f.Call, RoutineInv: f.RoutineInv}
 	// Mark check3/check4 (rare) as never executed for this test.
-	f.Prog.Block(f.Node["check3"]).Weight = 0
-	f.Prog.Block(f.Node["check4"]).Weight = 0
-	l := New(f.Prog, 0)
+	prof.Block[f.Node["check3"]] = 0
+	prof.Block[f.Node["check4"]] = 0
+	l := New(f.Prog, prof, 0)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	coldStart := l.Addr[f.Node["check3"]]
 	for name, b := range f.Node {
-		if f.Prog.Block(b).Weight > 0 && l.Addr[b] >= coldStart {
+		if prof.Block[b] > 0 && l.Addr[b] >= coldStart {
 			t.Fatalf("hot block %s at %#x beyond cold block at %#x", name, l.Addr[b], coldStart)
 		}
 	}
@@ -70,7 +73,8 @@ func TestNewMovesColdCodeToEnd(t *testing.T) {
 
 func TestNewCalleesAdjacent(t *testing.T) {
 	f := progtest.Figure9()
-	l := New(f.Prog, 0)
+	prof := &profile.Profile{Block: f.Block, Arc: f.Arc, Call: f.Call, RoutineInv: f.RoutineInv}
+	l := New(f.Prog, prof, 0)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +99,7 @@ func TestNewOnKernelBeatsBaseDFSOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof, _ := profile.FromTrace(tr)
-	if err := prof.Apply(k.Prog); err != nil {
-		t.Fatal(err)
-	}
-	l := New(k.Prog, 0)
+	l := New(k.Prog, prof, 0)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestNewOnKernelBeatsBaseDFSOrdering(t *testing.T) {
 	var maxHot, minCold uint64
 	minCold = ^uint64(0)
 	for b := range k.Prog.Blocks {
-		if k.Prog.Blocks[b].Weight > 0 {
+		if prof.Block[b] > 0 {
 			if l.Addr[b] > maxHot {
 				maxHot = l.Addr[b]
 			}

@@ -19,6 +19,7 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -31,11 +32,11 @@ type ConflictPair struct {
 }
 
 // ConflictPairs ranks routine pairs by estimated cache conflict under the
-// given layout and cache geometry, returning the top k pairs. Only executed
-// blocks participate. Within-routine conflicts are skipped (the paper's
+// given layout and cache geometry, returning the top k pairs, weighted by
+// prof's block execution counts. Only executed blocks participate. Within-routine conflicts are skipped (the paper's
 // peaks are between routines; self-conflicts of one routine are rare since
 // routines are smaller than the cache).
-func ConflictPairs(p *program.Program, l *layout.Layout, cfg cache.Config, k int) []ConflictPair {
+func ConflictPairs(p *program.Program, prof *profile.Profile, l *layout.Layout, cfg cache.Config, k int) []ConflictPair {
 	sets := cfg.NumSets()
 	if sets <= 0 {
 		return nil
@@ -47,7 +48,8 @@ func ConflictPairs(p *program.Program, l *layout.Layout, cfg cache.Config, k int
 	bySet := make([][]occupant, sets)
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
-		if b.Weight == 0 {
+		w := prof.Block[bi]
+		if w == 0 {
 			continue
 		}
 		addr := l.Addr[bi]
@@ -55,7 +57,7 @@ func ConflictPairs(p *program.Program, l *layout.Layout, cfg cache.Config, k int
 		lastLine := (addr + uint64(b.Size) - 1) / uint64(cfg.Line)
 		for line := firstLine; line <= lastLine; line++ {
 			set := int(line % uint64(sets))
-			bySet[set] = append(bySet[set], occupant{b.Routine, b.Weight})
+			bySet[set] = append(bySet[set], occupant{b.Routine, w})
 		}
 	}
 	agg := make(map[[2]program.RoutineID]uint64)

@@ -5,6 +5,7 @@ import (
 
 	"oslayout/internal/cfa"
 	"oslayout/internal/core"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/trace"
 )
@@ -22,8 +23,8 @@ type LoopFractions struct {
 	StaticFrac float64
 }
 
-// CallFreeLoopFractions computes Table 3 for a profiled program.
-func CallFreeLoopFractions(p *program.Program, loops []cfa.Loop) LoopFractions {
+// CallFreeLoopFractions computes Table 3 for program p under profile prof.
+func CallFreeLoopFractions(p *program.Program, prof *profile.Profile, loops []cfa.Loop) LoopFractions {
 	inCallFree := make(map[program.BlockID]bool)
 	for i := range loops {
 		if loops[i].CallsRoutines {
@@ -37,14 +38,15 @@ func CallFreeLoopFractions(p *program.Program, loops []cfa.Loop) LoopFractions {
 	var statLoop, statExec, statAll float64
 	for i := range p.Blocks {
 		b := &p.Blocks[i]
+		w := prof.Block[i]
 		refs := float64(trace.RefsOf(b.Size))
-		dynAll += float64(b.Weight) * refs
+		dynAll += float64(w) * refs
 		statAll += float64(b.Size)
-		if b.Weight > 0 {
+		if w > 0 {
 			statExec += float64(b.Size)
 		}
-		if inCallFree[program.BlockID(i)] && b.Weight > 0 {
-			dynLoop += float64(b.Weight) * refs
+		if inCallFree[program.BlockID(i)] && w > 0 {
+			dynLoop += float64(w) * refs
 			statLoop += float64(b.Size)
 		}
 	}
@@ -74,27 +76,27 @@ type LoopBehavior struct {
 	CallsRoutines bool
 }
 
-// LoopBehaviors returns the executed loops of a profiled program, split into
-// the paper's two categories, each sorted by trips.
-func LoopBehaviors(p *program.Program, loops []cfa.Loop) (callFree, withCalls []LoopBehavior) {
+// LoopBehaviors returns the loops of program p that profile prof records
+// as executed, split into the paper's two categories, each sorted by trips.
+func LoopBehaviors(p *program.Program, prof *profile.Profile, loops []cfa.Loop) (callFree, withCalls []LoopBehavior) {
 	cg := cfa.CallGraph(p)
 	for i := range loops {
 		lp := &loops[i]
-		if p.Block(lp.Header).Weight == 0 {
+		if prof.Block[lp.Header] == 0 {
 			continue
 		}
 		lb := LoopBehavior{
 			Routine:       lp.Routine,
-			Trips:         core.LoopTrips(p, lp),
+			Trips:         core.LoopTrips(p, prof, lp),
 			CallsRoutines: lp.CallsRoutines,
 		}
 		if lp.CallsRoutines {
-			lb.Size = cfa.ExecutedSizeWithCallees(p, cg, lp)
+			lb.Size = cfa.ExecutedSizeWithCallees(p, prof.Block, cg, lp)
 			withCalls = append(withCalls, lb)
 		} else {
 			for _, b := range lp.Body {
-				if blk := p.Block(b); blk.Weight > 0 {
-					lb.Size += int64(blk.Size)
+				if prof.Block[b] > 0 {
+					lb.Size += int64(p.Block(b).Size)
 				}
 			}
 			callFree = append(callFree, lb)

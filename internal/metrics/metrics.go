@@ -10,6 +10,7 @@ import (
 
 	"oslayout/internal/cfa"
 	"oslayout/internal/core"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/trace"
 )
@@ -29,12 +30,12 @@ type ArcProbStats struct {
 	FracLow float64
 }
 
-// ArcProbabilities computes the Figure 3 distribution from a profiled
-// program. Only arcs leaving executed blocks are counted; arcs that were
+// ArcProbabilities computes the Figure 3 distribution from program p's
+// profile prof. Only arcs leaving executed blocks are counted; arcs that were
 // never traversed still count (with probability 0), matching the paper's
 // "probability that an outgoing arc is used given that the basic block that
 // it leaves is executed".
-func ArcProbabilities(p *program.Program) ArcProbStats {
+func ArcProbabilities(p *program.Program, prof *profile.Profile) ArcProbStats {
 	var st ArcProbStats
 	add := func(prob float64) {
 		st.TotalArcs++
@@ -52,15 +53,15 @@ func ArcProbabilities(p *program.Program) ArcProbStats {
 	}
 	for i := range p.Blocks {
 		b := &p.Blocks[i]
-		if b.Weight == 0 {
+		if prof.Block[i] == 0 {
 			continue
 		}
-		w := float64(b.Weight)
-		for _, a := range b.Out {
-			add(float64(a.Weight) / w)
+		w := float64(prof.Block[i])
+		for _, aw := range prof.Arc[i] {
+			add(float64(aw) / w)
 		}
 		if b.HasCall {
-			add(float64(b.Call.Count) / w)
+			add(float64(prof.Call[i]) / w)
 		}
 	}
 	if st.TotalArcs > 0 {
@@ -73,11 +74,11 @@ func ArcProbabilities(p *program.Program) ArcProbStats {
 // InvocationSkew returns the per-routine invocation counts sorted from most
 // to least frequently invoked and normalised to sum to 100 (Figure 6).
 // Routines never invoked are omitted.
-func InvocationSkew(p *program.Program) []float64 {
+func InvocationSkew(prof *profile.Profile) []float64 {
 	var counts []float64
 	var total float64
-	for i := range p.Routines {
-		if inv := p.Routines[i].Invocations; inv > 0 {
+	for _, inv := range prof.RoutineInv {
+		if inv > 0 {
 			counts = append(counts, float64(inv))
 			total += float64(inv)
 		}
@@ -102,10 +103,10 @@ type BlockSkew struct {
 	Over3Pct, Over1Pct, UnderPt01Pct int
 }
 
-// BlockInvocationSkew computes Figure 8 from a profiled program and its
-// natural loops (cfa.AllLoops, which the caller owns and may share).
-func BlockInvocationSkew(p *program.Program, loops []cfa.Loop) BlockSkew {
-	adj := core.AdjustedWeights(p, loops)
+// BlockInvocationSkew computes Figure 8 from program p's profile prof and
+// its natural loops (cfa.AllLoops, which the caller owns and may share).
+func BlockInvocationSkew(p *program.Program, prof *profile.Profile, loops []cfa.Loop) BlockSkew {
+	adj := core.AdjustedWeights(p, prof, loops)
 	var sk BlockSkew
 	var total float64
 	for _, a := range adj {
@@ -148,16 +149,18 @@ type ReuseStats struct {
 	Routines []program.RoutineID
 }
 
-// TopRoutines returns the n most frequently invoked routines.
-func TopRoutines(p *program.Program, n int) []program.RoutineID {
-	ids := make([]program.RoutineID, 0, p.NumRoutines())
-	for i := range p.Routines {
-		if p.Routines[i].Invocations > 0 {
+// TopRoutines returns the n routines prof records as most frequently
+// invoked.
+func TopRoutines(prof *profile.Profile, n int) []program.RoutineID {
+	inv := prof.RoutineInv
+	ids := make([]program.RoutineID, 0, len(inv))
+	for i, w := range inv {
+		if w > 0 {
 			ids = append(ids, program.RoutineID(i))
 		}
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		wa, wb := p.Routine(ids[a]).Invocations, p.Routine(ids[b]).Invocations
+		wa, wb := inv[ids[a]], inv[ids[b]]
 		if wa != wb {
 			return wa > wb
 		}

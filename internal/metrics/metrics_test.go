@@ -7,14 +7,20 @@ import (
 	"oslayout/internal/cache"
 	"oslayout/internal/cfa"
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/progtest"
 	"oslayout/internal/trace"
 )
 
+// fig9Profile returns the Figure 9 fixture's counts as a profile.
+func fig9Profile(f *progtest.Figure9Fixture) *profile.Profile {
+	return &profile.Profile{Block: f.Block, Arc: f.Arc, Call: f.Call, RoutineInv: f.RoutineInv}
+}
+
 func TestArcProbabilitiesBimodal(t *testing.T) {
 	f := progtest.Figure9()
-	st := ArcProbabilities(f.Prog)
+	st := ArcProbabilities(f.Prog, fig9Profile(f))
 	if st.TotalArcs == 0 {
 		t.Fatal("no arcs counted")
 	}
@@ -38,7 +44,7 @@ func TestArcProbabilitiesBimodal(t *testing.T) {
 func TestArcProbabilitiesSkipsUnexecuted(t *testing.T) {
 	p, _ := progtest.Linear(3, 8)
 	// No weights at all: nothing to count.
-	st := ArcProbabilities(p)
+	st := ArcProbabilities(p, profile.New(p))
 	if st.TotalArcs != 0 {
 		t.Fatalf("counted %d arcs of an unexecuted program", st.TotalArcs)
 	}
@@ -46,11 +52,12 @@ func TestArcProbabilitiesSkipsUnexecuted(t *testing.T) {
 
 func TestInvocationSkew(t *testing.T) {
 	f := progtest.Figure9()
-	f.Prog.Routines[f.Push].Invocations = 700
-	f.Prog.Routines[f.Read].Invocations = 200
-	f.Prog.Routines[f.Check].Invocations = 100
-	f.Prog.Routines[f.Update].Invocations = 0
-	skew := InvocationSkew(f.Prog)
+	prof := fig9Profile(f)
+	prof.RoutineInv[f.Push] = 700
+	prof.RoutineInv[f.Read] = 200
+	prof.RoutineInv[f.Check] = 100
+	prof.RoutineInv[f.Update] = 0
+	skew := InvocationSkew(prof)
 	if len(skew) != 3 {
 		t.Fatalf("%d routines, want 3 (update never invoked)", len(skew))
 	}
@@ -61,7 +68,7 @@ func TestInvocationSkew(t *testing.T) {
 
 func TestBlockInvocationSkew(t *testing.T) {
 	f := progtest.Figure9()
-	sk := BlockInvocationSkew(f.Prog, cfa.AllLoops(f.Prog))
+	sk := BlockInvocationSkew(f.Prog, fig9Profile(f), cfa.AllLoops(f.Prog))
 	if sk.Executed == 0 || len(sk.Shares) != sk.Executed {
 		t.Fatal("no executed blocks counted")
 	}
@@ -81,11 +88,12 @@ func TestBlockInvocationSkew(t *testing.T) {
 
 func TestTopRoutines(t *testing.T) {
 	f := progtest.Figure9()
-	f.Prog.Routines[f.Push].Invocations = 10
-	f.Prog.Routines[f.Read].Invocations = 500
-	f.Prog.Routines[f.Check].Invocations = 300
-	f.Prog.Routines[f.Update].Invocations = 0
-	top := TopRoutines(f.Prog, 2)
+	prof := fig9Profile(f)
+	prof.RoutineInv[f.Push] = 10
+	prof.RoutineInv[f.Read] = 500
+	prof.RoutineInv[f.Check] = 300
+	prof.RoutineInv[f.Update] = 0
+	top := TopRoutines(prof, 2)
 	if len(top) != 2 || top[0] != f.Read || top[1] != f.Check {
 		t.Fatalf("top = %v", top)
 	}
@@ -153,15 +161,16 @@ func TestMergeReuse(t *testing.T) {
 
 func TestCallFreeLoopFractions(t *testing.T) {
 	p, _, header, latch, exit := progtest.LoopProgram(0.5)
+	prof := profile.New(p)
 	// All 5 blocks are 8 bytes (2 refs each). Loop = header, body, latch.
 	for i := range p.Blocks {
-		p.Blocks[i].Weight = 1
+		prof.Block[i] = 1
 	}
-	p.Block(header).Weight = 10
-	p.Block(header + 1).Weight = 10
-	p.Block(latch).Weight = 10
+	prof.Block[header] = 10
+	prof.Block[header+1] = 10
+	prof.Block[latch] = 10
 	loops := cfa.AllLoops(p)
-	f := CallFreeLoopFractions(p, loops)
+	f := CallFreeLoopFractions(p, prof, loops)
 	// Dynamic: loop refs = 30*2=60 of total (1+10+10+10+1)*2=64.
 	if math.Abs(f.DynFrac-60.0/64.0) > 1e-9 {
 		t.Fatalf("DynFrac = %v", f.DynFrac)
@@ -184,18 +193,19 @@ func TestLoopBehaviorsSplit(t *testing.T) {
 	p.Block(c2).Out = nil
 	p.AddArc(c2, c1, program.ArcBranch, 0.5)
 	p.AddArc(c2, p.Routine(caller).Blocks[3], program.ArcFallthrough, 0.5)
-	for i := range p.Blocks {
-		p.Blocks[i].Weight = 4
+	prof := profile.New(p)
+	for i := range prof.Block {
+		prof.Block[i] = 4
 	}
 	// Give the back edge weight so trips > 0.
 	blk := p.Block(c2)
 	for j := range blk.Out {
 		if blk.Out[j].To == c1 {
-			blk.Out[j].Weight = 3
+			prof.Arc[c2][j] = 3
 		}
 	}
 	loops := cfa.AllLoops(p)
-	callFree, withCalls := LoopBehaviors(p, loops)
+	callFree, withCalls := LoopBehaviors(p, prof, loops)
 	if len(callFree) != 0 || len(withCalls) != 1 {
 		t.Fatalf("split = %d/%d, want 0/1", len(callFree), len(withCalls))
 	}
@@ -230,16 +240,17 @@ func TestAccountBranchesAdjacency(t *testing.T) {
 	// (hot fall-through); layout B places 2 after 0 (hot edge costs a
 	// branch every time).
 	p, _ := progtest.Diamond(0.9)
+	prof := profile.New(p)
 	// Weights: entry 100, a 90, b 10, join 100, exit 100.
 	ws := []uint64{100, 90, 10, 100, 100}
 	for i, w := range ws {
-		p.Blocks[i].Weight = w
+		prof.Block[i] = w
 	}
-	p.Blocks[0].Out[0].Weight = 90 // entry -> a
-	p.Blocks[0].Out[1].Weight = 10 // entry -> b
-	p.Blocks[1].Out[0].Weight = 90
-	p.Blocks[2].Out[0].Weight = 10
-	p.Blocks[3].Out[0].Weight = 100
+	prof.Arc[0][0] = 90 // entry -> a
+	prof.Arc[0][1] = 10 // entry -> b
+	prof.Arc[1][0] = 90
+	prof.Arc[2][0] = 10
+	prof.Arc[3][0] = 100
 
 	mkLayout := func(order []program.BlockID) *layout.Layout {
 		l := layout.New("t", p, 0)
@@ -250,8 +261,8 @@ func TestAccountBranchesAdjacency(t *testing.T) {
 	hotAdj := mkLayout([]program.BlockID{0, 1, 3, 4, 2})
 	coldAdj := mkLayout([]program.BlockID{0, 2, 1, 3, 4})
 
-	accHot := AccountBranches(p, hotAdj)
-	accCold := AccountBranches(p, coldAdj)
+	accHot := AccountBranches(p, prof, hotAdj)
+	accCold := AccountBranches(p, prof, coldAdj)
 	// hotAdj: free edges 0->1 (90), 1->3 (90), 3->4 (100) = 280;
 	// branches: 0->2 (10), 2->3 (10) = 20.
 	if accHot.DynamicFallthroughs != 280 || accHot.DynamicBranches != 20 {
@@ -263,10 +274,10 @@ func TestAccountBranchesAdjacency(t *testing.T) {
 		t.Fatalf("cold-adjacent accounting = %+v", accCold)
 	}
 	// Overhead of coldAdj relative to hotAdj must be positive.
-	if DynamicOverheadPct(p, hotAdj, coldAdj) <= 0 {
+	if DynamicOverheadPct(p, prof, hotAdj, coldAdj) <= 0 {
 		t.Fatal("placing the cold side adjacent should cost dynamic size")
 	}
-	if DynamicOverheadPct(p, hotAdj, hotAdj) != 0 {
+	if DynamicOverheadPct(p, prof, hotAdj, hotAdj) != 0 {
 		t.Fatal("identical layouts must have zero overhead")
 	}
 }
@@ -280,9 +291,10 @@ func TestConflictPairs(t *testing.T) {
 	bb := p.AddBlock(b, 32)
 	c := p.AddRoutine("cold")
 	cb := p.AddBlock(c, 32)
-	p.Block(ab).Weight = 100
-	p.Block(bb).Weight = 80
-	p.Block(cb).Weight = 0
+	prof := profile.New(p)
+	prof.Block[ab] = 100
+	prof.Block[bb] = 80
+	prof.Block[cb] = 0
 
 	l := layout.New("t", p, 0)
 	l.Place(ab, 0)
@@ -290,7 +302,7 @@ func TestConflictPairs(t *testing.T) {
 	l.Place(cb, 2<<10) // also same set but never executed
 
 	cfg := cache.Config{Size: 1 << 10, Line: 32, Assoc: 1}
-	pairs := ConflictPairs(p, l, cfg, 10)
+	pairs := ConflictPairs(p, prof, l, cfg, 10)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %+v, want exactly the timer/muldiv pair", pairs)
 	}
@@ -299,7 +311,7 @@ func TestConflictPairs(t *testing.T) {
 	}
 	// Moving muldiv off the set removes the conflict.
 	l.Place(bb, 1<<10+64)
-	if got := ConflictPairs(p, l, cfg, 10); len(got) != 0 {
+	if got := ConflictPairs(p, prof, l, cfg, 10); len(got) != 0 {
 		t.Fatalf("after separation, pairs = %+v", got)
 	}
 }
@@ -311,13 +323,14 @@ func TestConflictPairsSpanningBlocks(t *testing.T) {
 	ab := p.AddBlock(a, 64) // two 32B lines
 	b := p.AddRoutine("b")
 	bb := p.AddBlock(b, 32)
-	p.Block(ab).Weight = 10
-	p.Block(bb).Weight = 10
+	prof := profile.New(p)
+	prof.Block[ab] = 10
+	prof.Block[bb] = 10
 	l := layout.New("t", p, 0)
 	l.Place(ab, 0)
 	l.Place(bb, 1<<10+32) // conflicts with the SECOND line of ab
 	cfg := cache.Config{Size: 1 << 10, Line: 32, Assoc: 1}
-	pairs := ConflictPairs(p, l, cfg, 10)
+	pairs := ConflictPairs(p, prof, l, cfg, 10)
 	if len(pairs) != 1 || pairs[0].Weight != 10 {
 		t.Fatalf("pairs = %+v", pairs)
 	}

@@ -15,6 +15,7 @@ package metrics
 
 import (
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/trace"
 )
@@ -43,26 +44,28 @@ func adjacent(l *layout.Layout, a, b program.BlockID) bool {
 	return l.Addr[b] >= end && l.Addr[b]-end < layout.Align
 }
 
-// AccountBranches computes the dynamic branch cost of a layout under the
-// program's current profile weights.
-func AccountBranches(p *program.Program, l *layout.Layout) BranchAccounting {
+// AccountBranches computes the dynamic branch cost of a layout under
+// profile prof.
+func AccountBranches(p *program.Program, prof *profile.Profile, l *layout.Layout) BranchAccounting {
 	var acc BranchAccounting
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
-		if b.Weight == 0 {
+		w := prof.Block[bi]
+		if w == 0 {
 			continue
 		}
-		acc.DynamicInstructions += b.Weight * trace.RefsOf(b.Size)
+		acc.DynamicInstructions += w * trace.RefsOf(b.Size)
 		id := program.BlockID(bi)
 		static := false
-		for _, a := range b.Out {
-			if a.Weight == 0 {
+		for j, a := range b.Out {
+			aw := prof.Arc[bi][j]
+			if aw == 0 {
 				continue
 			}
 			if adjacent(l, id, a.To) {
-				acc.DynamicFallthroughs += a.Weight
+				acc.DynamicFallthroughs += aw
 			} else {
-				acc.DynamicBranches += a.Weight
+				acc.DynamicBranches += aw
 				static = true
 			}
 		}
@@ -84,9 +87,9 @@ func AccountBranches(p *program.Program, l *layout.Layout) BranchAccounting {
 // DynamicOverheadPct returns the percentage increase in dynamic instruction
 // count of layout `opt` relative to layout `base`: the paper's "increase in
 // dynamic size" metric (≈2.0% for its layouts).
-func DynamicOverheadPct(p *program.Program, base, opt *layout.Layout) float64 {
-	ab := AccountBranches(p, base)
-	ao := AccountBranches(p, opt)
+func DynamicOverheadPct(p *program.Program, prof *profile.Profile, base, opt *layout.Layout) float64 {
+	ab := AccountBranches(p, prof, base)
+	ao := AccountBranches(p, prof, opt)
 	baseTotal := ab.DynamicInstructions + ab.DynamicBranches
 	optTotal := ao.DynamicInstructions + ao.DynamicBranches
 	if baseTotal == 0 {

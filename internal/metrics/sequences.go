@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"oslayout/internal/core"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/simulate"
 	"oslayout/internal/trace"
@@ -68,8 +69,9 @@ type SeqCharacterization struct {
 }
 
 // Characterize computes Table 2 for one workload: transition probabilities
-// come from the trace, the miss share from a Base-layout simulation result.
-func Characterize(t *trace.Trace, set *SeqSet, baseRes *simulate.Result) SeqCharacterization {
+// come from the trace, static and reference shares from the workload's OS
+// profile prof, the miss share from a Base-layout simulation result.
+func Characterize(t *trace.Trace, prof *profile.Profile, set *SeqSet, baseRes *simulate.Result) SeqCharacterization {
 	var c SeqCharacterization
 
 	// Transition probabilities over consecutive OS block events, walked in
@@ -113,11 +115,12 @@ func Characterize(t *trace.Trace, set *SeqSet, baseRes *simulate.Result) SeqChar
 	var refsAll, refsMember float64
 	for i := range p.Blocks {
 		blk := &p.Blocks[i]
-		if blk.Weight == 0 {
+		w := prof.Block[i]
+		if w == 0 {
 			continue
 		}
 		execBlocks++
-		refs := float64(blk.Weight) * float64(trace.RefsOf(blk.Size))
+		refs := float64(w) * float64(trace.RefsOf(blk.Size))
 		refsAll += refs
 		if set.Contains(program.BlockID(i)) {
 			memberBlocks++

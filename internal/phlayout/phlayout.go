@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -30,18 +31,19 @@ import (
 type pairKey struct{ a, b program.RoutineID }
 
 // callWeights aggregates call counts into undirected routine-pair weights.
-func callWeights(p *program.Program) map[pairKey]uint64 {
+func callWeights(p *program.Program, prof *profile.Profile) map[pairKey]uint64 {
 	w := make(map[pairKey]uint64)
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
-		if !b.HasCall || b.Call.Count == 0 || b.Routine == b.Call.Callee {
+		n := prof.Call[bi]
+		if !b.HasCall || n == 0 || b.Routine == b.Call.Callee {
 			continue
 		}
 		k := pairKey{b.Routine, b.Call.Callee}
 		if k.a > k.b {
 			k.a, k.b = k.b, k.a
 		}
-		w[k] += b.Call.Count
+		w[k] += n
 	}
 	return w
 }
@@ -55,16 +57,16 @@ type chain struct {
 // OrderRoutines returns the routines in Pettis-Hansen chain order: executed
 // routines grouped by merged call-graph chains (hottest chain first),
 // followed by never-executed routines in original order.
-func OrderRoutines(p *program.Program) []program.RoutineID {
-	weights := callWeights(p)
+func OrderRoutines(p *program.Program, prof *profile.Profile) []program.RoutineID {
+	weights := callWeights(p, prof)
 
 	executed := make([]bool, p.NumRoutines())
 	routineWeight := make([]uint64, p.NumRoutines())
-	for bi := range p.Blocks {
-		b := &p.Blocks[bi]
-		if b.Weight > 0 {
-			executed[b.Routine] = true
-			routineWeight[b.Routine] += b.Weight
+	for bi, w := range prof.Block {
+		if w > 0 {
+			r := p.Blocks[bi].Routine
+			executed[r] = true
+			routineWeight[r] += w
 		}
 	}
 
@@ -182,13 +184,13 @@ func OrderRoutines(p *program.Program) []program.RoutineID {
 // New builds the Pettis-Hansen layout: executed blocks of each routine in
 // static order, routines in merged chain order, and every never-executed
 // block in a cold section after the hot image.
-func New(p *program.Program, base uint64) *layout.Layout {
+func New(p *program.Program, prof *profile.Profile, base uint64) *layout.Layout {
 	l := layout.New("PH", p, base)
 	pb := layout.NewBuilder(l)
 	var cold []program.BlockID
-	for _, r := range OrderRoutines(p) {
+	for _, r := range OrderRoutines(p, prof) {
 		for _, b := range p.Routines[r].Blocks {
-			if p.Block(b).Weight > 0 {
+			if prof.Block[b] > 0 {
 				pb.Append(b)
 			} else {
 				cold = append(cold, b)

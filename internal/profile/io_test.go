@@ -13,7 +13,6 @@ import (
 
 func figure9Profile(seed int64) (*program.Program, *Profile) {
 	f := progtest.Figure9()
-	f.Prog.ResetWeights()
 	w := trace.NewWalker(f.Prog, trace.DomainOS, rand.New(rand.NewSource(seed)), nil)
 	tr := &trace.Trace{Name: "t", OS: f.Prog}
 	for i := 0; i < 25; i++ {
@@ -101,7 +100,7 @@ func TestQuickProfileIORoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := got.Apply(p); err != nil {
+		if err := got.Fits(p); err != nil {
 			return false
 		}
 		return got.Total() == pr.Total()

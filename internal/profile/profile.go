@@ -4,10 +4,13 @@
 // calls and routine invocations, and the breakdown of operating-system
 // invocations into the four entry classes of Table 1.
 //
-// Profiles are value objects separate from the Program so that several
-// workload profiles can be captured, averaged (the paper derives its layouts
-// from the average of all workload profiles) and applied to the program's
-// weight fields on demand.
+// Profiles are immutable values separate from the Program: a profile is
+// built once (collected from a trace, averaged — the paper derives its
+// layouts from the average of all workload profiles — or derived as a new
+// value, as the noise experiment does) and never written afterwards. Every
+// reader — the layout algorithms, the metrics, the experiments — takes the
+// profile it reads explicitly alongside the program, so any number of
+// profiles can be in use on one program concurrently.
 package profile
 
 import (
@@ -192,45 +195,59 @@ func (pr *Profile) TotalInvocations() uint64 {
 	return n
 }
 
-// Apply writes the profile's counts into the program's weight fields,
-// replacing whatever was there.
-func (pr *Profile) Apply(p *program.Program) error {
-	if len(pr.Block) != p.NumBlocks() || len(pr.RoutineInv) != p.NumRoutines() {
+// ExecutedBlocks returns how many blocks have a nonzero execution count.
+func (pr *Profile) ExecutedBlocks() int {
+	n := 0
+	for _, w := range pr.Block {
+		if w > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// ExecutedCodeSize returns the bytes of p's code whose blocks executed (the
+// paper's "size of executed OS code"). The profile must be shaped for p.
+func (pr *Profile) ExecutedCodeSize(p *program.Program) int64 {
+	var n int64
+	for i, w := range pr.Block {
+		if w > 0 {
+			n += int64(p.Blocks[i].Size)
+		}
+	}
+	return n
+}
+
+// ExecutedRoutines returns how many of p's routines have at least one
+// executed block. The profile must be shaped for p.
+func (pr *Profile) ExecutedRoutines(p *program.Program) int {
+	n := 0
+	for i := range p.Routines {
+		for _, b := range p.Routines[i].Blocks {
+			if pr.Block[b] > 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// Fits reports whether the profile is shaped for program p: one count per
+// block, per out-arc and per routine.
+func (pr *Profile) Fits(p *program.Program) error {
+	if len(pr.Block) != p.NumBlocks() || len(pr.Arc) != p.NumBlocks() ||
+		len(pr.Call) != p.NumBlocks() || len(pr.RoutineInv) != p.NumRoutines() {
 		return fmt.Errorf("profile: shape mismatch: %d/%d blocks, %d/%d routines",
 			len(pr.Block), p.NumBlocks(), len(pr.RoutineInv), p.NumRoutines())
 	}
 	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		b.Weight = pr.Block[i]
-		for j := range b.Out {
-			b.Out[j].Weight = pr.Arc[i][j]
+		if len(pr.Arc[i]) != len(p.Blocks[i].Out) {
+			return fmt.Errorf("profile: block %d has %d arc counts for %d arcs",
+				i, len(pr.Arc[i]), len(p.Blocks[i].Out))
 		}
-		b.Call.Count = pr.Call[i]
-	}
-	for r := range p.Routines {
-		p.Routines[r].Invocations = pr.RoutineInv[r]
 	}
 	return nil
-}
-
-// Capture snapshots the program's current weight fields into a Profile —
-// the inverse of Apply. Callers that apply other profiles temporarily (the
-// CLI's stats summary walks every workload profile) capture first and
-// re-apply the snapshot after, so the active profile state never leaks.
-func Capture(p *program.Program) *Profile {
-	pr := New(p)
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		pr.Block[i] = b.Weight
-		for j := range b.Out {
-			pr.Arc[i][j] = b.Out[j].Weight
-		}
-		pr.Call[i] = b.Call.Count
-	}
-	for r := range p.Routines {
-		pr.RoutineInv[r] = p.Routines[r].Invocations
-	}
-	return pr
 }
 
 // Average combines several profiles of the same program into one, first

@@ -84,49 +84,37 @@ func TestFromTraceWithMarkers(t *testing.T) {
 	}
 }
 
-func TestApplyAndShapeMismatch(t *testing.T) {
+func TestFitsShapeMismatch(t *testing.T) {
 	p, _ := progtest.Linear(3, 8)
 	pr := New(p)
-	pr.Block[1] = 7
-	pr.Arc[0][0] = 7
-	pr.RoutineInv[0] = 2
-	if err := pr.Apply(p); err != nil {
+	if err := pr.Fits(p); err != nil {
 		t.Fatal(err)
 	}
-	if p.Blocks[1].Weight != 7 || p.Blocks[0].Out[0].Weight != 7 ||
-		p.Routines[0].Invocations != 2 {
-		t.Fatal("Apply did not write weights")
-	}
 	other, _ := progtest.Linear(5, 8)
-	if err := pr.Apply(other); err == nil {
-		t.Fatal("Apply accepted mismatched shape")
+	if err := pr.Fits(other); err == nil {
+		t.Fatal("Fits accepted a program with more blocks")
+	}
+	// Same block count, different arc shape.
+	bent, _ := progtest.Linear(3, 8)
+	bent.Blocks[2].Out = []program.Arc{{To: 0, Kind: program.ArcBranch, Prob: 1}}
+	if err := pr.Fits(bent); err == nil {
+		t.Fatal("Fits accepted a program with a different arc shape")
 	}
 }
 
-func TestCaptureRoundTrip(t *testing.T) {
-	p, _ := progtest.Linear(3, 8)
+func TestExecutedStats(t *testing.T) {
+	p, _, _ := progtest.CallPair()
 	pr := New(p)
-	pr.Block[0], pr.Block[1], pr.Block[2] = 3, 7, 11
-	pr.Arc[0][0], pr.Arc[1][0] = 5, 9
-	pr.Call[2] = 1
-	pr.RoutineInv[0] = 4
-	if err := pr.Apply(p); err != nil {
-		t.Fatal(err)
+	pr.Block[0] = 5 // leaf entry
+	pr.Block[3] = 2 // caller's call block
+	if got := pr.ExecutedBlocks(); got != 2 {
+		t.Fatalf("ExecutedBlocks = %d, want 2", got)
 	}
-	snap := Capture(p)
-	// Clobber the program's weights, then restore from the snapshot.
-	other := New(p)
-	other.Block[0] = 999
-	if err := other.Apply(p); err != nil {
-		t.Fatal(err)
+	if got := pr.ExecutedCodeSize(p); got != 16 {
+		t.Fatalf("ExecutedCodeSize = %d, want 16", got)
 	}
-	if err := snap.Apply(p); err != nil {
-		t.Fatal(err)
-	}
-	if p.Blocks[0].Weight != 3 || p.Blocks[1].Weight != 7 ||
-		p.Blocks[0].Out[0].Weight != 5 || p.Blocks[2].Call.Count != 1 ||
-		p.Routines[0].Invocations != 4 {
-		t.Fatal("Capture/Apply round trip did not restore weights")
+	if got := pr.ExecutedRoutines(p); got != 2 {
+		t.Fatalf("ExecutedRoutines = %d, want 2", got)
 	}
 }
 
@@ -178,13 +166,12 @@ func TestAverageErrors(t *testing.T) {
 }
 
 // TestQuickProfileRoundTrip property-checks that profiling a walked trace
-// and applying it yields weights consistent with the events: the sum of
-// block weights equals the number of block events, and every arc weight is
-// at most its source block weight.
+// yields counts consistent with the events: the sum of block counts equals
+// the number of block events, and every arc count is at most its source
+// block count.
 func TestQuickProfileRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		fx := progtest.Figure9()
-		fx.Prog.ResetWeights()
 		tr := &trace.Trace{Name: "t", OS: fx.Prog}
 		w := trace.NewWalker(fx.Prog, trace.DomainOS, rand.New(rand.NewSource(seed)), nil)
 		blocks := 0
@@ -199,19 +186,18 @@ func TestQuickProfileRoundTrip(t *testing.T) {
 		if pr.Total() != uint64(blocks) {
 			return false
 		}
-		if err := pr.Apply(fx.Prog); err != nil {
+		if err := pr.Fits(fx.Prog); err != nil {
 			return false
 		}
 		for i := range fx.Prog.Blocks {
-			b := &fx.Prog.Blocks[i]
 			var out uint64
-			for _, a := range b.Out {
-				out += a.Weight
+			for _, w := range pr.Arc[i] {
+				out += w
 			}
-			if out > b.Weight {
+			if out > pr.Block[i] {
 				return false
 			}
-			if b.HasCall && b.Call.Count > b.Weight {
+			if fx.Prog.Blocks[i].HasCall && pr.Call[i] > pr.Block[i] {
 				return false
 			}
 		}

@@ -15,6 +15,9 @@ type DotOptions struct {
 	// Routines restricts the graph to these routines (nil = all). Call
 	// edges to routines outside the set render as stub nodes.
 	Routines []RoutineID
+	// Weights holds per-block execution counts (a profile's Block slice)
+	// to label nodes with; nil renders every block with weight 0.
+	Weights []uint64
 	// HideUnexecuted omits blocks with zero weight.
 	HideUnexecuted bool
 }
@@ -34,12 +37,20 @@ func (p *Program) WriteDot(w io.Writer, opts DotOptions) error {
 			include[r] = true
 		}
 	}
+	if opts.Weights != nil && len(opts.Weights) != len(p.Blocks) {
+		return fmt.Errorf("program: dot: %d weights for %d blocks", len(opts.Weights), len(p.Blocks))
+	}
+	weight := func(b BlockID) uint64 {
+		if opts.Weights == nil {
+			return 0
+		}
+		return opts.Weights[b]
+	}
 	show := func(b BlockID) bool {
-		blk := p.Block(b)
-		if !include[blk.Routine] {
+		if !include[p.Block(b).Routine] {
 			return false
 		}
-		return !opts.HideUnexecuted || blk.Weight > 0
+		return !opts.HideUnexecuted || weight(b) > 0
 	}
 
 	var err error
@@ -60,12 +71,12 @@ func (p *Program) WriteDot(w io.Writer, opts DotOptions) error {
 			if !show(b) {
 				continue
 			}
-			blk := p.Block(b)
+			w := weight(b)
 			style := ""
-			if blk.Weight == 0 {
+			if w == 0 {
 				style = ", style=dotted"
 			}
-			pr("    n%d [label=\"%s.%d\\nw=%d\"%s];\n", b, rt.Name, local, blk.Weight, style)
+			pr("    n%d [label=\"%s.%d\\nw=%d\"%s];\n", b, rt.Name, local, w, style)
 		}
 		pr("  }\n")
 	}

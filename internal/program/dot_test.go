@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-func dotFixture() *Program {
+// dotFixture returns a small program plus per-block weights for it.
+func dotFixture() (*Program, []uint64) {
 	p := New("fix")
 	a := p.AddRoutine("alpha")
 	a0 := p.AddBlock(a, 8)
@@ -20,21 +21,22 @@ func dotFixture() *Program {
 	_ = c0
 	p.Blocks[a2].Out = nil
 	p.SetCall(a2, b, c0)
-	p.Blocks[a0].Weight = 10
-	p.Blocks[a1].Weight = 9
-	return p
+	w := make([]uint64, p.NumBlocks())
+	w[a0] = 10
+	w[a1] = 9
+	return p, w
 }
 
 func TestWriteDotAllRoutines(t *testing.T) {
-	p := dotFixture()
+	p, w := dotFixture()
 	var sb strings.Builder
-	if err := p.WriteDot(&sb, DotOptions{}); err != nil {
+	if err := p.WriteDot(&sb, DotOptions{Weights: w}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
 		"digraph \"fix\"", "cluster_0", "label=\"alpha\"", "label=\"beta\"",
-		"n0 -> n1", "0.90", "style=dashed", "label=ret",
+		"n0 -> n1", "0.90", "style=dashed", "label=ret", "w=10",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dot output missing %q\n%s", want, out)
@@ -43,7 +45,7 @@ func TestWriteDotAllRoutines(t *testing.T) {
 }
 
 func TestWriteDotRestrictedWithStub(t *testing.T) {
-	p := dotFixture()
+	p, _ := dotFixture()
 	var sb strings.Builder
 	if err := p.WriteDot(&sb, DotOptions{Routines: []RoutineID{0}}); err != nil {
 		t.Fatal(err)
@@ -58,9 +60,9 @@ func TestWriteDotRestrictedWithStub(t *testing.T) {
 }
 
 func TestWriteDotHideUnexecuted(t *testing.T) {
-	p := dotFixture()
+	p, w := dotFixture()
 	var sb strings.Builder
-	if err := p.WriteDot(&sb, DotOptions{HideUnexecuted: true}); err != nil {
+	if err := p.WriteDot(&sb, DotOptions{Weights: w, HideUnexecuted: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -73,9 +75,12 @@ func TestWriteDotHideUnexecuted(t *testing.T) {
 }
 
 func TestWriteDotRejectsBadRoutine(t *testing.T) {
-	p := dotFixture()
+	p, w := dotFixture()
 	var sb strings.Builder
 	if err := p.WriteDot(&sb, DotOptions{Routines: []RoutineID{99}}); err == nil {
 		t.Fatal("out-of-range routine accepted")
+	}
+	if err := p.WriteDot(&sb, DotOptions{Weights: w[1:]}); err == nil {
+		t.Fatal("weights of the wrong length accepted")
 	}
 }

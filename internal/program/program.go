@@ -3,15 +3,13 @@
 // each made of basic blocks connected by arcs (conditional and unconditional
 // branches, fall-throughs) and by call/return transitions.
 //
-// Two kinds of annotation live on the graph:
-//
-//   - generator ground truth (Arc.Prob, BasicBlock.LoopMeanIters): written by
-//     the synthetic kernel/application generators and consumed only by the
-//     stochastic trace walker;
-//   - profile weights (BasicBlock.Weight, Arc.Weight, CallSite.Count):
-//     written by the profiler from observed traces and consumed by the
-//     layout algorithms, exactly as in the paper where layouts are derived
-//     from measured basic-block flow graphs.
+// The graph carries generator ground truth only (Arc.Prob, dispatch
+// points): written by the synthetic kernel/application generators and
+// consumed by the stochastic trace walker. Measured execution counts are
+// not part of the program: they live in profile.Profile values shaped like
+// it, which the layout algorithms take explicitly — so a program is never
+// written after synthesis and any number of profiles can be used on it at
+// once.
 package program
 
 import (
@@ -66,10 +64,6 @@ type Arc struct {
 	// block sum to 1 (unless the block is a dispatch block, whose arc is
 	// chosen by the workload). Prob is not used by layout algorithms.
 	Prob float64
-
-	// Weight is the measured number of times the arc was traversed. Filled
-	// by the profiler.
-	Weight uint64
 }
 
 // CallSite describes a block that ends in a procedure call. After the callee
@@ -80,8 +74,6 @@ type CallSite struct {
 	// the callee returns. NoBlock means the call is a tail transfer and the
 	// caller returns immediately when the callee does.
 	Cont BlockID
-	// Count is the measured number of times the call executed.
-	Count uint64
 }
 
 // DispatchID identifies a dispatch point (e.g. the system call table jump)
@@ -98,8 +90,6 @@ type BasicBlock struct {
 	// Size is the block size in bytes. Instruction fetches touch the byte
 	// range [addr, addr+Size) of wherever the layout places the block.
 	Size int32
-	// Weight is the measured execution count, filled by the profiler.
-	Weight uint64
 	// Out lists the intra-routine successors. Empty Out with no Call marks a
 	// return block: the routine exits when the block finishes.
 	Out []Arc
@@ -124,9 +114,6 @@ type Routine struct {
 	// Blocks lists every block of the routine in the order the "compiler"
 	// emitted them; the Base layout places them in exactly this order.
 	Blocks []BlockID
-	// Invocations is the measured number of calls to the routine, filled by
-	// the profiler.
-	Invocations uint64
 }
 
 // SeedClass names the four operating-system entry classes of the paper
@@ -250,68 +237,6 @@ func (p *Program) CodeSize() int64 {
 		n += int64(p.Blocks[i].Size)
 	}
 	return n
-}
-
-// ExecutedCodeSize returns the bytes of code whose blocks have nonzero
-// profile weight (the paper's "size of executed OS code").
-func (p *Program) ExecutedCodeSize() int64 {
-	var n int64
-	for i := range p.Blocks {
-		if p.Blocks[i].Weight > 0 {
-			n += int64(p.Blocks[i].Size)
-		}
-	}
-	return n
-}
-
-// ExecutedBlocks returns how many blocks have nonzero profile weight.
-func (p *Program) ExecutedBlocks() int {
-	n := 0
-	for i := range p.Blocks {
-		if p.Blocks[i].Weight > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// ExecutedRoutines returns how many routines have at least one executed block.
-func (p *Program) ExecutedRoutines() int {
-	n := 0
-	for i := range p.Routines {
-		for _, b := range p.Routines[i].Blocks {
-			if p.Blocks[b].Weight > 0 {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// TotalWeight returns the sum of all block execution counts.
-func (p *Program) TotalWeight() uint64 {
-	var n uint64
-	for i := range p.Blocks {
-		n += p.Blocks[i].Weight
-	}
-	return n
-}
-
-// ResetWeights clears all profile annotations (block, arc, call, routine
-// counts), leaving generator ground truth untouched.
-func (p *Program) ResetWeights() {
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		b.Weight = 0
-		for j := range b.Out {
-			b.Out[j].Weight = 0
-		}
-		b.Call.Count = 0
-	}
-	for i := range p.Routines {
-		p.Routines[i].Invocations = 0
-	}
 }
 
 // Order returns the Base-image routine order: LinkOrder when set, natural

@@ -106,40 +106,6 @@ func TestDispatchBlockSkipsProbSumCheck(t *testing.T) {
 	}
 }
 
-func TestCodeSizeAndExecutedStats(t *testing.T) {
-	p := buildValid()
-	if got := p.CodeSize(); got != 8+16+8+8 {
-		t.Fatalf("CodeSize = %d, want 40", got)
-	}
-	p.Blocks[0].Weight = 5
-	p.Blocks[2].Weight = 1
-	if got := p.ExecutedCodeSize(); got != 8+8 {
-		t.Fatalf("ExecutedCodeSize = %d, want 16", got)
-	}
-	if got := p.ExecutedBlocks(); got != 2 {
-		t.Fatalf("ExecutedBlocks = %d, want 2", got)
-	}
-	if got := p.ExecutedRoutines(); got != 2 {
-		t.Fatalf("ExecutedRoutines = %d, want 2", got)
-	}
-	if got := p.TotalWeight(); got != 6 {
-		t.Fatalf("TotalWeight = %d, want 6", got)
-	}
-}
-
-func TestResetWeights(t *testing.T) {
-	p := buildValid()
-	p.Blocks[0].Weight = 5
-	p.Blocks[0].Out[0].Weight = 5
-	p.Blocks[2].Call.Count = 3
-	p.Routines[0].Invocations = 9
-	p.ResetWeights()
-	if p.TotalWeight() != 0 || p.Blocks[0].Out[0].Weight != 0 ||
-		p.Blocks[2].Call.Count != 0 || p.Routines[0].Invocations != 0 {
-		t.Fatal("ResetWeights left profile state behind")
-	}
-}
-
 func TestOrderDefaultsToNatural(t *testing.T) {
 	p := buildValid()
 	order := p.Order()

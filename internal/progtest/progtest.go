@@ -93,6 +93,11 @@ func CallPair() (p *program.Program, caller, leaf program.RoutineID) {
 //
 // The returned map gives access to blocks by the paper's names, e.g.
 // "push0" for node 0 of push_hrtime, "read2" for node 2 of read_hrc.
+//
+// The weights are the four count slices of a profile.Profile (this package
+// cannot import profile, whose own tests use these fixtures); tests build
+// the profile as &profile.Profile{Block: f.Block, Arc: f.Arc, Call: f.Call,
+// RoutineInv: f.RoutineInv}.
 type Figure9Fixture struct {
 	Prog   *program.Program
 	Push   program.RoutineID
@@ -100,6 +105,13 @@ type Figure9Fixture struct {
 	Check  program.RoutineID
 	Update program.RoutineID
 	Node   map[string]program.BlockID
+
+	// Block, Arc, Call and RoutineInv are the figure's execution counts,
+	// shaped like profile.Profile's fields of the same names.
+	Block      []uint64
+	Arc        [][]uint64
+	Call       []uint64
+	RoutineInv []uint64
 }
 
 // Figure9 builds the fixture. Shapes and weights follow the paper's chart:
@@ -120,7 +132,9 @@ func Figure9() *Figure9Fixture {
 
 	add := func(r program.RoutineID, name string, weight uint64) program.BlockID {
 		b := p.AddBlock(r, 16)
-		p.Block(b).Weight = weight
+		f.Block = append(f.Block, weight)
+		f.Arc = append(f.Arc, nil)
+		f.Call = append(f.Call, 0)
 		f.Node[name] = b
 		return b
 	}
@@ -150,16 +164,11 @@ func Figure9() *Figure9Fixture {
 	arc := func(from, to string, w uint64, kind program.ArcKind) {
 		fb := f.Node[from]
 		p.AddArc(fb, f.Node[to], kind, 0)
-		blk := p.Block(fb)
-		blk.Out[len(blk.Out)-1].Weight = w
-		// Ground-truth probability for walker-based tests.
-		if blk.Weight > 0 {
-			blk.Out[len(blk.Out)-1].Prob = float64(w) / float64(blk.Weight)
-		}
+		f.Arc[fb] = append(f.Arc[fb], w)
 	}
 	call := func(from string, callee program.RoutineID, cont string, w uint64) {
 		p.SetCall(f.Node[from], callee, f.Node[cont])
-		p.Block(f.Node[from]).Call.Count = w
+		f.Call[f.Node[from]] = w
 	}
 
 	arc("push0", "push1", 990, program.ArcFallthrough)
@@ -192,13 +201,11 @@ func Figure9() *Figure9Fixture {
 	arc("check4", "check5", 5, program.ArcBranch)
 	arc("check2", "check5", 995, program.ArcFallthrough)
 
-	// Fix probabilities where weights do not sum to node weight exactly.
-	normalizeProbs(p)
+	// Ground-truth probabilities for walker-based tests, proportional to
+	// the arc weights so Validate passes.
+	normalizeProbs(p, f.Arc)
 
-	f.Prog.Routines[f.Push].Invocations = 1000
-	f.Prog.Routines[f.Read].Invocations = 1000
-	f.Prog.Routines[f.Check].Invocations = 1000
-	f.Prog.Routines[f.Update].Invocations = 1000
+	f.RoutineInv = []uint64{1000, 1000, 1000, 1000}
 	return f
 }
 
@@ -211,16 +218,16 @@ func nodeName(prefix string, i int) string {
 }
 
 // normalizeProbs rewrites every block's arc probabilities proportionally to
-// their weights so Validate passes.
-func normalizeProbs(p *program.Program) {
+// the arc weights so Validate passes.
+func normalizeProbs(p *program.Program, arcW [][]uint64) {
 	for i := range p.Blocks {
 		b := &p.Blocks[i]
 		if len(b.Out) == 0 {
 			continue
 		}
 		var sum float64
-		for _, a := range b.Out {
-			sum += float64(a.Weight)
+		for _, w := range arcW[i] {
+			sum += float64(w)
 		}
 		if sum == 0 {
 			uniform := 1.0 / float64(len(b.Out))
@@ -230,7 +237,7 @@ func normalizeProbs(p *program.Program) {
 			continue
 		}
 		for j := range b.Out {
-			b.Out[j].Prob = float64(b.Out[j].Weight) / sum
+			b.Out[j].Prob = float64(arcW[i][j]) / sum
 		}
 	}
 }

@@ -55,11 +55,12 @@ type Config struct {
 	// concurrency (Workers) multiplies with this, so hosts running many
 	// concurrent jobs may want DrivePar lowered.
 	DrivePar int
-	// StudyCache bounds how many studies the server pools across compare
-	// jobs (default 2). Jobs agreeing on (refs, seed) share one study —
-	// and with it the layout-strategy and compiled-stream caches, so a
-	// repeated or concurrent compare grid replays from memoized streams
-	// instead of regenerating and recompiling everything.
+	// StudyCache bounds how many studies the server pools across jobs
+	// (default 2). Jobs agreeing on (refs, seed, stream, chunk) share one
+	// study — compare and experiment jobs alike — and with it the
+	// layout-strategy and compiled-stream caches, so a repeated or
+	// concurrent job replays from memoized layouts and streams instead of
+	// regenerating and recompiling everything.
 	StudyCache int
 	// StreamBudgetBytes is the daemon's retained-trace memory budget:
 	// specs whose projected materialised footprint exceeds it are rejected
@@ -159,7 +160,12 @@ func New(cfg Config) *Server {
 	if budget <= 0 {
 		budget = oslayout.DefaultStreamBudgetBytes
 	}
-	s := &Server{reg: reg, start: time.Now(), drivePar: cfg.DrivePar, studies: newStudyPool(cfg.StudyCache), budget: budget, archive: cfg.Archive}
+	s := &Server{reg: reg, start: time.Now(), drivePar: cfg.DrivePar, budget: budget, archive: cfg.Archive}
+	s.studies = newStudyPool(cfg.StudyCache,
+		reg.Counter("oslayout_study_pool_hits_total",
+			"Job study lookups served by a pooled study, including joins of an in-flight build."),
+		reg.Counter("oslayout_study_pool_misses_total",
+			"Job study lookups that built a new study (kernel synthesis, tracing, profiling)."))
 	s.jobsStarted = reg.Counter("oslayout_jobs_started_total", "Jobs accepted for execution.")
 	s.jobsFinished = reg.Counter("oslayout_jobs_finished_total", "Jobs completed successfully.")
 	s.jobsFailed = reg.Counter("oslayout_jobs_failed_total", "Jobs that ended in an error.")
@@ -419,40 +425,25 @@ func (s *Server) execute(j *Job) (map[string]JobResult, []runstore.Cell, []obs.W
 			j.events.publish(Event{Type: "window", Window: &fl})
 		},
 	}
-	// Compare jobs share pooled studies: layout builds serialise under the
-	// strategy-cache lock and evaluation is read-only, so concurrent
-	// compare jobs over one study are safe — and repeat jobs replay from
-	// its memoized compiled streams. Experiment jobs keep a private study
-	// (several experiments re-apply kernel profiles in place, which must
-	// not race across jobs).
-	var pooled *studyEntry
-	if j.Spec.Compare != nil {
-		done := j.rec.Span("study.build")
-		entry, err := s.studies.get(studyKey{refs: j.Spec.Refs, seed: j.Spec.Seed, stream: stream, chunk: j.Spec.Chunk}, func() (*oslayout.Study, error) {
-			return expt.BuildStudy(opts)
-		})
-		done()
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("building study: %w", err)
-		}
-		pooled = entry
-		opts.Study = entry.st
+	// Every job runs on the pooled study for its inputs: studies are
+	// immutable (profiles are values, builds are single-flight per key,
+	// evaluation is read-only), so concurrent jobs over one study are safe,
+	// and repeat jobs reuse its layouts and memoized compiled streams.
+	done := j.rec.Span("study.build")
+	entry, err := s.studies.get(studyKey{refs: j.Spec.Refs, seed: j.Spec.Seed, stream: stream, chunk: j.Spec.Chunk}, func() (*oslayout.Study, error) {
+		return expt.BuildStudy(opts)
+	})
+	done()
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("building study: %w", err)
 	}
+	opts.Study = entry.st
 	env, err := expt.NewEnv(opts)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("building study: %w", err)
 	}
 	defer func() {
-		if pooled != nil {
-			pooled.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
-		} else {
-			hits, misses := env.LayoutCacheStats()
-			s.cacheHits.Add(hits)
-			s.cacheMisses.Add(misses)
-			sh, sm := env.StreamCacheStats()
-			s.streamHits.Add(sh)
-			s.streamMisses.Add(sm)
-		}
+		entry.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
 		counters := j.rec.Counters()
 		s.eventsReplay.Add(counters["replay.events"])
 		s.refsReplayed.Add(counters["replay.refs"])

@@ -669,3 +669,66 @@ func TestCompareJobsShareStudyAndStreams(t *testing.T) {
 		t.Error("original compare job no longer reproduces after a seeded job ran")
 	}
 }
+
+// TestExperimentAndCompareJobsShareOneStudy submits two experiment jobs and
+// one compare job for one study key at once, on two workers. Every job runs
+// on the one pooled study, so the pool records one miss and two hits, and
+// each job's digest equals the same work on a fresh unpooled environment.
+func TestExperimentAndCompareJobsShareOneStudy(t *testing.T) {
+	_, ts := newTestServer(t)
+	compareSpec := fmt.Sprintf(`{"compare":{"strategies":["base","ch","opts"],"sizes":["4k","8k"]},"refs":%d}`, testRefs)
+	specs := []string{
+		fmt.Sprintf(`{"experiments":["table2"],"refs":%d}`, testRefs),
+		fmt.Sprintf(`{"experiments":["fig15"],"refs":%d}`, testRefs),
+		compareSpec,
+	}
+	ids := make([]string, len(specs))
+	for i, spec := range specs {
+		ids[i] = submit(t, ts, spec).ID
+	}
+	finals := make([]JobStatus, len(ids))
+	for i, id := range ids {
+		if finals[i] = await(t, ts, id); finals[i].State != StateDone {
+			t.Fatalf("job %d ended %s: %s", i, finals[i].State, finals[i].Error)
+		}
+	}
+
+	env, err := expt.NewEnv(expt.Options{OSRefs: testRefs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"table2", "fig15"} {
+		r, err := expt.Run(env, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := finals[i].Results[name].Digest, obs.Digest(r.Render()); got != want {
+			t.Errorf("%s: pooled job digest %.12s != unpooled %.12s", name, got, want)
+		}
+	}
+	grid, err := env.RunCompareOpts([]string{"base", "ch", "opts"}, []int{4 << 10, 8 << 10}, 32, 1, expt.CompareOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := finals[2].Results["compare"].Digest, obs.Digest(grid.Render()); got != want {
+		t.Errorf("compare: pooled job digest %.12s != unpooled %.12s", got, want)
+	}
+
+	fams := scrape(t, ts)
+	for name, want := range map[string]float64{
+		"oslayout_study_pool_misses_total": 1,
+		"oslayout_study_pool_hits_total":   2,
+	} {
+		f, ok := fams[name]
+		if !ok {
+			t.Errorf("metrics missing %s", name)
+			continue
+		}
+		if f.Type != "counter" {
+			t.Errorf("%s type %q, want counter", name, f.Type)
+		}
+		if got := f.Samples[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}

@@ -59,25 +59,29 @@ func (e *studyEntry) flush(layoutH, layoutM, streamH, streamM *obs.Counter) {
 // forgets it for future jobs — running jobs hold the study pointer.
 type studyPool struct {
 	cap int
+	// hits and misses count get calls served by an existing (possibly
+	// still building) entry versus calls that built the study.
+	hits, misses *obs.Counter
 
 	mu      sync.Mutex
 	entries map[studyKey]*studyEntry
 	order   []studyKey // LRU order, oldest first
 }
 
-func newStudyPool(cap int) *studyPool {
+func newStudyPool(cap int, hits, misses *obs.Counter) *studyPool {
 	if cap <= 0 {
 		cap = 2
 	}
-	return &studyPool{cap: cap, entries: make(map[studyKey]*studyEntry)}
+	return &studyPool{cap: cap, hits: hits, misses: misses, entries: make(map[studyKey]*studyEntry)}
 }
 
 // get returns the pooled entry for the key, building the study on first
 // use. The build runs outside the pool lock; other keys proceed in
-// parallel.
+// parallel. Joining an in-flight build counts as a hit: it caused no work.
 func (p *studyPool) get(key studyKey, build func() (*oslayout.Study, error)) (*studyEntry, error) {
 	p.mu.Lock()
 	if e, ok := p.entries[key]; ok {
+		p.hits.Inc()
 		p.touchLocked(key)
 		p.mu.Unlock()
 		<-e.ready
@@ -86,6 +90,7 @@ func (p *studyPool) get(key studyKey, build func() (*oslayout.Study, error)) (*s
 		}
 		return e, nil
 	}
+	p.misses.Inc()
 	e := &studyEntry{ready: make(chan struct{})}
 	p.entries[key] = e
 	p.order = append(p.order, key)

@@ -52,8 +52,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// executeShard runs one shard: an experiment through a private environment,
-// or a compare-grid mask through the pooled study.
+// executeShard runs one shard — an experiment, or a compare-grid mask —
+// on the pooled study for the job's inputs.
 func (s *Server) executeShard(spec *ShardSpec) (*ShardResult, error) {
 	start := time.Now()
 	rec := obs.NewRecorder()
@@ -77,33 +77,18 @@ func (s *Server) executeShard(spec *ShardSpec) (*ShardResult, error) {
 	}
 	res := &ShardResult{Index: spec.Index, Host: hostID()}
 
-	var pooled *studyEntry
-	if c := spec.Job.Compare; c != nil {
-		entry, err := s.studies.get(studyKey{refs: spec.Job.Refs, seed: spec.Job.Seed, stream: stream, chunk: spec.Job.Chunk}, func() (*oslayout.Study, error) {
-			return expt.BuildStudy(opts)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("building study: %w", err)
-		}
-		pooled = entry
-		opts.Study = entry.st
+	entry, err := s.studies.get(studyKey{refs: spec.Job.Refs, seed: spec.Job.Seed, stream: stream, chunk: spec.Job.Chunk}, func() (*oslayout.Study, error) {
+		return expt.BuildStudy(opts)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("building study: %w", err)
 	}
+	opts.Study = entry.st
 	env, err := expt.NewEnv(opts)
 	if err != nil {
 		return nil, fmt.Errorf("building study: %w", err)
 	}
-	defer func() {
-		if pooled != nil {
-			pooled.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
-		} else {
-			hits, misses := env.LayoutCacheStats()
-			s.cacheHits.Add(hits)
-			s.cacheMisses.Add(misses)
-			sh, sm := env.StreamCacheStats()
-			s.streamHits.Add(sh)
-			s.streamMisses.Add(sm)
-		}
-	}()
+	defer entry.flush(s.cacheHits, s.cacheMisses, s.streamHits, s.streamMisses)
 
 	if c := spec.Job.Compare; c != nil {
 		sizes, err := ParseSizes(c.Sizes)

@@ -10,6 +10,7 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 	"oslayout/internal/trace"
 )
@@ -83,12 +84,13 @@ func HistogramOf(perBlock []uint64, ref *layout.Layout, bucket uint64) []uint64 
 	return h
 }
 
-// RefHistogram aggregates per-block references into address-range buckets
-// under a reference layout (Figure 2).
-func RefHistogram(p *program.Program, ref *layout.Layout, bucket uint64) []uint64 {
+// RefHistogram aggregates per-block references — prof's execution counts
+// times block words — into address-range buckets under a reference layout
+// (Figure 2).
+func RefHistogram(p *program.Program, prof *profile.Profile, ref *layout.Layout, bucket uint64) []uint64 {
 	refs := make([]uint64, len(p.Blocks))
 	for b := range p.Blocks {
-		refs[b] = p.Blocks[b].Weight * trace.RefsOf(p.Blocks[b].Size)
+		refs[b] = prof.Block[b] * trace.RefsOf(p.Blocks[b].Size)
 	}
 	return HistogramOf(refs, ref, bucket)
 }

@@ -5,6 +5,7 @@ import (
 
 	"oslayout/internal/cache"
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/progtest"
 	"oslayout/internal/simtest"
 	"oslayout/internal/trace"
@@ -199,9 +200,10 @@ func TestMissAndRefHistograms(t *testing.T) {
 	if hs[0] != 4 || hs[1] != 4 {
 		t.Fatalf("self histogram = %v", hs)
 	}
-	tr.OS.Blocks[0].Weight = 5
-	tr.OS.Blocks[1].Weight = 5
-	hr := RefHistogram(tr.OS, l, 64)
+	prof := profile.New(tr.OS)
+	prof.Block[0] = 5
+	prof.Block[1] = 5
+	hr := RefHistogram(tr.OS, prof, l, 64)
 	if hr[0] != 40 || hr[1] != 40 { // 5 executions × 8 words
 		t.Fatalf("ref histogram = %v", hr)
 	}

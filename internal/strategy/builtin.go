@@ -8,6 +8,7 @@ import (
 	"oslayout/internal/layout"
 	"oslayout/internal/mcflayout"
 	"oslayout/internal/phlayout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -19,9 +20,10 @@ type builtin struct {
 	name     string
 	describe string
 	sized    bool
-	// profiled strategies apply Params.Profile before building.
+	// profiled strategies build from the profile Params.Profile names;
+	// the others get a nil profile.
 	profiled bool
-	build    func(st Study, params Params) (*layout.Layout, *core.Plan, error)
+	build    func(st Study, prof *profile.Profile, params Params) (*layout.Layout, *core.Plan, error)
 }
 
 func (b *builtin) Name() string        { return b.name }
@@ -29,33 +31,35 @@ func (b *builtin) Describe() string    { return b.describe }
 func (b *builtin) SizeDependent() bool { return b.sized }
 
 func (b *builtin) Build(st Study, params Params) (*layout.Layout, *core.Plan, error) {
+	var prof *profile.Profile
 	if b.profiled {
-		if err := st.ApplyProfile(params.profile()); err != nil {
+		var err error
+		if prof, err = st.Profile(params.profile()); err != nil {
 			return nil, nil, err
 		}
 	}
-	return b.build(st, params)
+	return b.build(st, prof, params)
 }
 
 // optimize runs the paper's placement algorithm with the given parameter
 // mutation, mirroring Study.OptS/OptL/OptCall.
-func optimize(st Study, params Params, mutate func(*core.Params)) (*layout.Layout, *core.Plan, error) {
+func optimize(st Study, prof *profile.Profile, params Params, mutate func(*core.Params)) (*layout.Layout, *core.Plan, error) {
 	cp := core.DefaultParams(params.CacheSize)
 	if mutate != nil {
 		mutate(&cp)
 	}
 	p := st.KernelProgram()
-	plan, err := core.Optimize(p, core.SeedEntries(p), st.KernelLoops(), 0, cp)
+	plan, err := core.Optimize(p, prof, core.SeedEntries(p), st.KernelLoops(), 0, cp)
 	if err != nil {
 		return nil, nil, err
 	}
 	return plan.Layout, plan, nil
 }
 
-// layoutOnly adapts profile-free or plan-free builders.
-func layoutOnly(f func(p *program.Program) *layout.Layout) func(Study, Params) (*layout.Layout, *core.Plan, error) {
-	return func(st Study, _ Params) (*layout.Layout, *core.Plan, error) {
-		return f(st.KernelProgram()), nil, nil
+// layoutOnly adapts plan-free builders.
+func layoutOnly(f func(p *program.Program, prof *profile.Profile) *layout.Layout) func(Study, *profile.Profile, Params) (*layout.Layout, *core.Plan, error) {
+	return func(st Study, prof *profile.Profile, _ Params) (*layout.Layout, *core.Plan, error) {
+		return f(st.KernelProgram(), prof), nil, nil
 	}
 }
 
@@ -84,14 +88,14 @@ func init() {
 		{
 			name:     "base",
 			describe: "original link-order placement (the paper's Base)",
-			build: layoutOnly(func(p *program.Program) *layout.Layout {
+			build: layoutOnly(func(p *program.Program, _ *profile.Profile) *layout.Layout {
 				return layout.NewBase(p, 0)
 			}),
 		},
 		{
 			name:     "shuffle",
 			describe: "seeded random routine permutation (control: rearrangement without structure)",
-			build: layoutOnly(func(p *program.Program) *layout.Layout {
+			build: layoutOnly(func(p *program.Program, _ *profile.Profile) *layout.Layout {
 				return Shuffle(p, ShuffleSeed)
 			}),
 		},
@@ -99,33 +103,27 @@ func init() {
 			name:     "mcf",
 			describe: "McFarling-style weighted call-graph DFS with cold-code exclusion (ASPLOS 1989)",
 			profiled: true,
-			build: layoutOnly(func(p *program.Program) *layout.Layout {
-				return mcflayout.New(p, 0)
-			}),
+			build:    layoutOnly(func(p *program.Program, prof *profile.Profile) *layout.Layout { return mcflayout.New(p, prof, 0) }),
 		},
 		{
 			name:     "ph",
 			describe: "Pettis-Hansen procedure ordering: greedy call-graph chain merging (PLDI 1990)",
 			profiled: true,
-			build: layoutOnly(func(p *program.Program) *layout.Layout {
-				return phlayout.New(p, 0)
-			}),
+			build:    layoutOnly(func(p *program.Program, prof *profile.Profile) *layout.Layout { return phlayout.New(p, prof, 0) }),
 		},
 		{
 			name:     "ch",
 			describe: "Chang-Hwu trace selection plus caller-callee routine chaining (ISCA 1989)",
 			profiled: true,
-			build: layoutOnly(func(p *program.Program) *layout.Layout {
-				return chlayout.New(p, 0)
-			}),
+			build:    layoutOnly(func(p *program.Program, prof *profile.Profile) *layout.Layout { return chlayout.New(p, prof, 0) }),
 		},
 		{
 			name:     "opts",
 			describe: "the paper's OptS: cross-routine sequences plus the SelfConfFree area",
 			sized:    true,
 			profiled: true,
-			build: func(st Study, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(st, params, nil)
+			build: func(st Study, prof *profile.Profile, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(st, prof, params, nil)
 			},
 		},
 		{
@@ -133,8 +131,8 @@ func init() {
 			describe: "OptS plus the Section 4.3 loop-area extraction",
 			sized:    true,
 			profiled: true,
-			build: func(st Study, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(st, params, func(cp *core.Params) {
+			build: func(st Study, prof *profile.Profile, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(st, prof, params, func(cp *core.Params) {
 					cp.Name = "OptL"
 					cp.LoopExtract = true
 				})
@@ -145,8 +143,8 @@ func init() {
 			describe: "OptL plus the Section 4.4 loops-with-callees private logical caches",
 			sized:    true,
 			profiled: true,
-			build: func(st Study, params Params) (*layout.Layout, *core.Plan, error) {
-				return optimize(st, params, func(cp *core.Params) {
+			build: func(st Study, prof *profile.Profile, params Params) (*layout.Layout, *core.Plan, error) {
+				return optimize(st, prof, params, func(cp *core.Params) {
 					cp.Name = "Call"
 					cp.LoopExtract = true
 					cp.CallOpt = true

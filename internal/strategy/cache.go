@@ -16,8 +16,8 @@ type Built struct {
 	Plan *core.Plan
 }
 
-// cacheKey identifies one build: (strategy name, active profile, cache
-// size). Size-independent strategies normalise the size to 0 so requests at
+// cacheKey identifies one build: (strategy name, profile, cache size).
+// Size-independent strategies normalise the size to 0 so requests at
 // different cache sizes share one entry.
 type cacheKey struct {
 	name    string
@@ -25,40 +25,38 @@ type cacheKey struct {
 	size    int
 }
 
-// Cache memoizes strategy builds for one study. Building mutates the kernel
-// program's weight fields (profiles are applied in place), so the cache
-// serialises builds under one lock — which also makes it the safe entry
-// point for concurrent builds (the serve daemon runs jobs in parallel):
-// every field, including the recorder and the hit/miss statistics, is
-// accessed under mu. Evaluation of the returned layouts is read-only and
-// needs no coordination.
+// entry is one memoized (possibly in-flight) build; ready is closed once b
+// and err are final.
+type entry struct {
+	b     *Built
+	err   error
+	ready chan struct{}
+}
+
+// Cache memoizes strategy builds for one study, single-flight per key:
+// concurrent requests for one key share a single build, and builds of
+// different keys run concurrently. Builds read immutable profiles and
+// never write the program, so nothing but the memo map itself needs
+// coordination: the map and the hit/miss statistics sit under a short
+// mutex that is never held while a build runs.
 type Cache struct {
 	st Study
 
 	mu    sync.Mutex
-	rec   *obs.Recorder
-	built map[cacheKey]*Built
+	built map[cacheKey]*entry
 	hits  uint64
 	miss  uint64
 }
 
 // NewCache returns an empty cache over the study.
 func NewCache(st Study) *Cache {
-	return &Cache{st: st, built: make(map[cacheKey]*Built)}
-}
-
-// SetRecorder attaches a recorder; cache-miss builds are then timed as
-// "layout.<name>" spans ("layout.custom:<key>" for Custom builds). A nil recorder (the default) records nothing.
-// Safe to call concurrently with builds.
-func (c *Cache) SetRecorder(r *obs.Recorder) {
-	c.mu.Lock()
-	c.rec = r
-	c.mu.Unlock()
+	return &Cache{st: st, built: make(map[cacheKey]*entry)}
 }
 
 // Stats returns how many Build/Custom requests were served from the memo
 // map versus built fresh — the layout-build cache-efficiency signal the
-// serve daemon exports as Prometheus counters.
+// serve daemon exports as Prometheus counters. A request that joins an
+// in-flight build counts as a hit: it caused no work.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -66,8 +64,10 @@ func (c *Cache) Stats() (hits, misses uint64) {
 }
 
 // Build returns the memoized product of the named strategy, building it on
-// first use. Errors are not cached.
-func (c *Cache) Build(name string, p Params) (*Built, error) {
+// first use. A cache-miss build is timed on rec (nil records nothing) as a
+// "layout.<name>" span, so the span lands on the requester's recorder.
+// Errors are not cached.
+func (c *Cache) Build(name string, p Params, rec *obs.Recorder) (*Built, error) {
 	s, err := Get(name)
 	if err != nil {
 		return nil, err
@@ -76,44 +76,46 @@ func (c *Cache) Build(name string, p Params) (*Built, error) {
 	if !s.SizeDependent() {
 		key.size = 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.built[key]; ok {
-		c.hits++
-		return b, nil
-	}
-	c.miss++
-	done := c.rec.Span("layout." + name)
-	l, plan, err := s.Build(c.st, p)
-	done()
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Layout: l, Plan: plan}
-	c.built[key] = b
-	return b, nil
+	return c.do(key, rec, func() (*layout.Layout, *core.Plan, error) { return s.Build(c.st, p) })
 }
 
 // Custom memoizes a caller-supplied build under an opaque key, for
 // parameter variants outside the registry (SelfConfFree-cutoff sweeps, the
 // Resv setup, per-workload application layouts). Keys live in a separate
-// namespace from registered strategy names.
-func (c *Cache) Custom(key string, build func(Study) (*layout.Layout, *core.Plan, error)) (*Built, error) {
-	k := cacheKey{name: "custom:" + key}
+// namespace from registered strategy names; a key must name everything the
+// build reads, the profile included. Cache-miss builds are timed on rec as
+// "layout.custom:<key>" spans.
+func (c *Cache) Custom(key string, rec *obs.Recorder, build func(Study) (*layout.Layout, *core.Plan, error)) (*Built, error) {
+	return c.do(cacheKey{name: "custom:" + key}, rec, func() (*layout.Layout, *core.Plan, error) { return build(c.st) })
+}
+
+// do returns the entry for k, running build on the first request only.
+// Later requests wait for the in-flight build instead of repeating it; a
+// failed build is forgotten so the next request retries.
+func (c *Cache) do(k cacheKey, rec *obs.Recorder, build func() (*layout.Layout, *core.Plan, error)) (*Built, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.built[k]; ok {
+	if e, ok := c.built[k]; ok {
 		c.hits++
-		return b, nil
+		c.mu.Unlock()
+		<-e.ready
+		return e.b, e.err
 	}
 	c.miss++
-	done := c.rec.Span("layout." + k.name)
-	l, plan, err := build(c.st)
+	e := &entry{ready: make(chan struct{})}
+	c.built[k] = e
+	c.mu.Unlock()
+
+	done := rec.Span("layout." + k.name)
+	l, plan, err := build()
 	done()
 	if err != nil {
-		return nil, err
+		e.err = err
+		c.mu.Lock()
+		delete(c.built, k)
+		c.mu.Unlock()
+	} else {
+		e.b = &Built{Layout: l, Plan: plan}
 	}
-	b := &Built{Layout: l, Plan: plan}
-	c.built[k] = b
-	return b, nil
+	close(e.ready)
+	return e.b, e.err
 }

@@ -10,30 +10,27 @@ import (
 
 // TestCacheConcurrentBuilds hammers one Cache from many goroutines — the
 // serve daemon's concurrent-jobs shape — mixing repeated requests for the
-// same key with distinct keys (different strategies, sizes and custom
-// builds). Run under -race: layout construction mutates the kernel
-// program's weight fields, so every build must serialise under the cache
-// lock, and SetRecorder must be safe against in-flight builds.
+// same key with distinct keys (different strategies and sizes). Run under
+// -race: builds of different keys run concurrently and must share nothing
+// mutable, and requests for an in-flight key must wait for its one build.
 func TestCacheConcurrentBuilds(t *testing.T) {
 	st := testStudy(t)
 	c := strategy.NewCache(st)
 
 	var wg sync.WaitGroup
-	rec := oslayout.NewRecorder()
+	recs := []*oslayout.Recorder{oslayout.NewRecorder(), nil}
 	names := []string{"base", "ch", "ph", "opts"}
 	sizes := []int{4 << 10, 8 << 10}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Flip the recorder mid-flight from half the goroutines.
-			if g%2 == 0 {
-				c.SetRecorder(rec)
-			}
+			// Half the goroutines record their builds, half do not.
+			rec := recs[g%2]
 			for i := 0; i < 6; i++ {
 				name := names[(g+i)%len(names)]
 				size := sizes[i%len(sizes)]
-				b, err := c.Build(name, strategy.Params{CacheSize: size})
+				b, err := c.Build(name, strategy.Params{CacheSize: size}, rec)
 				if err != nil {
 					t.Errorf("%s/%d: %v", name, size, err)
 					return
@@ -59,11 +56,11 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 	}
 
 	// Same key requested twice returns the identical product.
-	a, err := c.Build("opts", strategy.Params{CacheSize: 8 << 10})
+	a, err := c.Build("opts", strategy.Params{CacheSize: 8 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Build("opts", strategy.Params{CacheSize: 8 << 10})
+	b, err := c.Build("opts", strategy.Params{CacheSize: 8 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +71,7 @@ func TestCacheConcurrentBuilds(t *testing.T) {
 
 // TestConcurrentBuildStrategy is the public-API face of the same property:
 // two (and more) concurrent Study.BuildStrategy calls — same key and
-// different keys — must be safe and deterministic. Before builds were
-// routed through the study's cache, this raced on the kernel program's
-// weight fields.
+// different keys — must be safe and deterministic.
 func TestConcurrentBuildStrategy(t *testing.T) {
 	st := testStudy(t)
 

@@ -8,9 +8,10 @@
 // API and the CLI can request layouts uniformly and new placement
 // algorithms (Codestitcher, ext-TSP, ...) are one-file additions.
 //
-// Builds are pure functions of (strategy, applied profile, cache size), so
-// the Cache memoizes them under exactly that key; it replaces the ad-hoc
-// layout caches the experiment environment used to carry.
+// Builds are pure functions of (strategy, profile, cache size): profiles are
+// immutable values the study hands out by name, and no build writes to the
+// program, so builds of any keys may run concurrently. The Cache memoizes
+// them under exactly that key, single-flight per key.
 package strategy
 
 import (
@@ -20,6 +21,7 @@ import (
 	"oslayout/internal/cfa"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
+	"oslayout/internal/profile"
 	"oslayout/internal/program"
 )
 
@@ -34,9 +36,9 @@ const AvgProfile = "avg"
 type Study interface {
 	// KernelProgram returns the kernel's control-flow graph.
 	KernelProgram() *program.Program
-	// ApplyProfile applies the named profile ("avg" or "w<i>" for workload
-	// i) to the kernel program's weight fields.
-	ApplyProfile(name string) error
+	// Profile returns the named kernel profile ("avg" or "w<i>" for
+	// workload i). Profiles are immutable: builds only read them.
+	Profile(name string) (*profile.Profile, error)
 	// KernelLoops returns the kernel's natural loops (cfa.AllLoops),
 	// computed once by the study and shared read-only across builds.
 	KernelLoops() []cfa.Loop
@@ -48,7 +50,7 @@ type Params struct {
 	// SizeDependent() is false ignore it.
 	CacheSize int
 	// Profile names the profile the strategy builds from; empty selects
-	// AvgProfile. Profile-reading strategies apply it before building.
+	// AvgProfile. Profile-reading strategies build from that profile.
 	Profile string
 }
 

@@ -51,11 +51,11 @@ func TestGoldenDeterminism(t *testing.T) {
 	cacheA, cacheB := strategy.NewCache(stA), strategy.NewCache(stB)
 	for _, name := range strategy.Names() {
 		p := strategy.Params{CacheSize: 8 << 10}
-		a, err := cacheA.Build(name, p)
+		a, err := cacheA.Build(name, p, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, err := cacheB.Build(name, p)
+		b, err := cacheB.Build(name, p, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -85,29 +85,29 @@ func TestGoldenDeterminism(t *testing.T) {
 // size-dependent ones do not.
 func TestCacheMemoization(t *testing.T) {
 	c := strategy.NewCache(testStudy(t))
-	b1, err := c.Build("ch", strategy.Params{CacheSize: 4 << 10})
+	b1, err := c.Build("ch", strategy.Params{CacheSize: 4 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := c.Build("ch", strategy.Params{CacheSize: 16 << 10})
+	b2, err := c.Build("ch", strategy.Params{CacheSize: 16 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b1 != b2 {
 		t.Error("size-independent strategy rebuilt for a different cache size")
 	}
-	o1, err := c.Build("opts", strategy.Params{CacheSize: 4 << 10})
+	o1, err := c.Build("opts", strategy.Params{CacheSize: 4 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := c.Build("opts", strategy.Params{CacheSize: 16 << 10})
+	o2, err := c.Build("opts", strategy.Params{CacheSize: 16 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o1 == o2 {
 		t.Error("size-dependent strategy shared one build across cache sizes")
 	}
-	o3, err := c.Build("opts", strategy.Params{CacheSize: 4 << 10})
+	o3, err := c.Build("opts", strategy.Params{CacheSize: 4 << 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +124,11 @@ func TestCacheMemoization(t *testing.T) {
 
 // TestCustomBuildSpans pins the visibility of custom builds (cutoff
 // sweeps, Resv, application layouts): each Custom miss records exactly one
-// "layout.custom:<key>" span on the attached recorder, and a memo hit
+// "layout.custom:<key>" span on the requester's recorder, and a memo hit
 // records none.
 func TestCustomBuildSpans(t *testing.T) {
 	c := strategy.NewCache(testStudy(t))
 	rec := obs.NewRecorder()
-	c.SetRecorder(rec)
 	builds := 0
 	build := func(st strategy.Study) (*layout.Layout, *core.Plan, error) {
 		builds++
@@ -137,7 +136,7 @@ func TestCustomBuildSpans(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		for _, key := range []string{"a", "b"} {
-			if _, err := c.Custom(key, build); err != nil {
+			if _, err := c.Custom(key, rec, build); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,11 +160,11 @@ func TestCustomBuildSpans(t *testing.T) {
 func TestPHPlacement(t *testing.T) {
 	st := testStudy(t)
 	c := strategy.NewCache(st)
-	ph, err := c.Build("ph", strategy.Params{})
+	ph, err := c.Build("ph", strategy.Params{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.Build("base", strategy.Params{})
+	base, err := c.Build("base", strategy.Params{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestPHPlacement(t *testing.T) {
 	for _, r := range p.Order() {
 		for _, b := range p.Routines[r].Blocks {
 			end := ph.Layout.BlockEnd(b)
-			if p.Block(b).Weight > 0 {
+			if st.AvgOS.Block[b] > 0 {
 				nExec++
 				if end > maxExec {
 					maxExec = end

@@ -220,17 +220,24 @@ type WorkloadData struct {
 
 // Study is one end-to-end experiment environment: a kernel, a set of traced
 // workloads, their profiles, and the machinery to build and evaluate
-// layouts. All layout construction uses the average of the workload profiles
-// applied to the kernel, exactly as in the paper ("the layouts are created
-// after taking the average of the profiles of all the workloads").
+// layouts. Layout construction uses the average of the workload profiles by
+// default, exactly as in the paper ("the layouts are created after taking
+// the average of the profiles of all the workloads").
+//
+// A study is immutable once built: the kernel and application programs
+// carry no weights, and every profile is a value that builders and metrics
+// take explicitly. Any number of goroutines may build and evaluate layouts
+// on one study at once.
 type Study struct {
 	Kernel    *Kernel
 	Data      []*WorkloadData
 	AvgOS     *Profile
 	traceOpts TraceOptions
-	// layouts memoizes registered-strategy builds for this study and
-	// serialises them under one lock (building applies profiles in place,
-	// mutating kernel weights — see internal/strategy.Cache).
+	// rec times the study's own builds (BuildStrategy); environments over
+	// the study pass their own recorders with each build request.
+	rec *Recorder
+	// layouts memoizes registered-strategy builds for this study,
+	// single-flight per key (see internal/strategy.Cache).
 	layouts *strategy.Cache
 	// streams memoizes trace decodes and the compiled line streams of
 	// EvaluateMany calls; its
@@ -296,7 +303,7 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 	}
 	streaming := opts.Stream == StreamOn ||
 		(opts.Stream == StreamAuto && ProjectedTraceBytes(opts.Workloads, opts.Trace) > budget)
-	st := &Study{Kernel: k, traceOpts: opts.Trace, streaming: streaming}
+	st := &Study{Kernel: k, traceOpts: opts.Trace, rec: rec, streaming: streaming}
 
 	var osProfiles []*Profile
 	for i, w := range opts.Workloads {
@@ -329,7 +336,6 @@ func NewStudy(opts StudyOptions) (*Study, error) {
 	}
 	st.AvgOS = avg
 	st.layouts = strategy.NewCache(st)
-	st.layouts.SetRecorder(rec)
 	st.streams = streamcache.New(opts.StreamCacheBytes)
 	st.drivePar = opts.DrivePar
 	st.appBase = make([]*Layout, len(st.Data))
@@ -354,42 +360,25 @@ func loopsOnce(p *Program) func() []Loop {
 // study and of its WithDrivePar views. Callers must not modify the slice.
 func (s *Study) KernelLoops() []Loop { return s.kernelLoops() }
 
-// CaptureKernelProfile snapshots the kernel program's currently applied
-// weight fields as a Profile, so callers that temporarily apply other
-// profiles can restore the active state afterwards via Apply.
-func (s *Study) CaptureKernelProfile() *Profile {
-	return profile.Capture(s.Kernel.Prog)
-}
-
-// UseAverageProfile applies the averaged kernel profile to the kernel
-// program's weight fields (the state layout builders read).
-func (s *Study) UseAverageProfile() error { return s.AvgOS.Apply(s.Kernel.Prog) }
-
-// UseWorkloadProfile applies workload i's kernel profile instead, for
-// cross-profile robustness experiments.
-func (s *Study) UseWorkloadProfile(i int) error {
-	return s.Data[i].OSProfile.Apply(s.Kernel.Prog)
-}
-
 // KernelProgram returns the kernel's control-flow graph (the program layout
 // strategies place).
 func (s *Study) KernelProgram() *Program { return s.Kernel.Prog }
 
-// ApplyProfile applies the named kernel profile to the kernel program's
-// weight fields: "avg" (or "") selects the averaged profile, "w<i>"
-// workload i's own profile. Layout strategies call this before building.
-func (s *Study) ApplyProfile(name string) error {
+// Profile returns the named kernel profile: "avg" (or "") selects the
+// averaged profile, "w<i>" workload i's own profile. The result is shared
+// and immutable; derive a new Profile rather than modifying it.
+func (s *Study) Profile(name string) (*Profile, error) {
 	switch {
 	case name == "" || name == strategy.AvgProfile:
-		return s.UseAverageProfile()
+		return s.AvgOS, nil
 	case strings.HasPrefix(name, "w"):
 		i, err := strconv.Atoi(name[1:])
 		if err != nil || i < 0 || i >= len(s.Data) {
-			return fmt.Errorf("oslayout: unknown profile %q", name)
+			return nil, fmt.Errorf("oslayout: unknown profile %q", name)
 		}
-		return s.UseWorkloadProfile(i)
+		return s.Data[i].OSProfile, nil
 	default:
-		return fmt.Errorf("oslayout: unknown profile %q", name)
+		return nil, fmt.Errorf("oslayout: unknown profile %q", name)
 	}
 }
 
@@ -425,21 +414,19 @@ func Strategies() []StrategyInfo {
 //
 // Builds go through the study's memoized strategy cache: repeated requests
 // for the same (strategy, size) share one product, and concurrent calls
-// are safe — layout construction mutates the kernel program's weight
-// fields, so the cache serialises builds under one lock.
+// are safe — builds of one key share a single build, builds of different
+// keys run concurrently.
 func (s *Study) BuildStrategy(name string, cacheSize int) (*Layout, *Plan, error) {
-	b, err := s.layouts.Build(name, strategy.Params{CacheSize: cacheSize})
+	b, err := s.layouts.Build(name, strategy.Params{CacheSize: cacheSize}, s.rec)
 	if err != nil {
 		return nil, nil, err
 	}
 	return b.Layout, b.Plan, nil
 }
 
-// StrategyCache returns the study's memoized strategy-build cache, the
-// serialisation point for all layout construction on this study. The
+// StrategyCache returns the study's memoized strategy-build cache. The
 // experiment environment builds through it (rather than a cache of its
-// own) so in-process builds and BuildStrategy calls share one lock and
-// one memo map.
+// own) so in-process builds and BuildStrategy calls share one memo map.
 func (s *Study) StrategyCache() *strategy.Cache { return s.layouts }
 
 // BaseLayout returns the kernel's original (link-order) layout.
@@ -448,27 +435,15 @@ func (s *Study) BaseLayout() *Layout { return layout.NewBase(s.Kernel.Prog, 0) }
 // CHLayout builds the Chang-Hwu layout of the kernel from the averaged
 // profile.
 func (s *Study) CHLayout() (*Layout, error) {
-	if err := s.UseAverageProfile(); err != nil {
-		return nil, err
-	}
-	return chlayout.New(s.Kernel.Prog, 0), nil
+	return chlayout.New(s.Kernel.Prog, s.AvgOS, 0), nil
 }
 
 // Optimize runs the paper's placement algorithm on the kernel with the given
-// parameters, using the averaged profile.
-func (s *Study) Optimize(params PlacementParams) (*Plan, error) {
-	if err := s.UseAverageProfile(); err != nil {
-		return nil, err
-	}
-	return core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), s.KernelLoops(), 0, params)
-}
-
-// OptimizeWithCurrentProfile runs the placement algorithm against whatever
-// profile is currently applied to the kernel program (set via
-// UseWorkloadProfile, UseAverageProfile, or a custom Profile.Apply) — for
-// cross-profile robustness experiments.
-func (s *Study) OptimizeWithCurrentProfile(params PlacementParams) (*Plan, error) {
-	return core.Optimize(s.Kernel.Prog, core.SeedEntries(s.Kernel.Prog), s.KernelLoops(), 0, params)
+// parameters, reading execution counts from prof: the averaged profile
+// (AvgOS), a workload's (see Profile), or any other profile of the kernel,
+// such as the noise experiment's perturbed copies.
+func (s *Study) Optimize(prof *Profile, params PlacementParams) (*Plan, error) {
+	return core.Optimize(s.Kernel.Prog, prof, core.SeedEntries(s.Kernel.Prog), s.KernelLoops(), 0, params)
 }
 
 // AverageProfiles combines several profiles of the same program into one,
@@ -480,7 +455,7 @@ func AverageProfiles(ps []*Profile) (*Profile, error) {
 // OptS builds the paper's OptS layout (sequences + SelfConfFree area) for
 // the given cache size.
 func (s *Study) OptS(cacheSize int) (*Plan, error) {
-	return s.Optimize(core.DefaultParams(cacheSize))
+	return s.Optimize(s.AvgOS, core.DefaultParams(cacheSize))
 }
 
 // OptL builds OptS plus the simple loop optimisation of Section 4.3.
@@ -488,7 +463,7 @@ func (s *Study) OptL(cacheSize int) (*Plan, error) {
 	p := core.DefaultParams(cacheSize)
 	p.Name = "OptL"
 	p.LoopExtract = true
-	return s.Optimize(p)
+	return s.Optimize(s.AvgOS, p)
 }
 
 // OptCall builds OptS plus the Section 4.4 advanced loop-with-callees
@@ -498,7 +473,7 @@ func (s *Study) OptCall(cacheSize int) (*Plan, error) {
 	p.Name = "Call"
 	p.LoopExtract = true
 	p.CallOpt = true
-	return s.Optimize(p)
+	return s.Optimize(s.AvgOS, p)
 }
 
 // AppBaseLayout returns the original layout of workload i's application,
@@ -520,14 +495,12 @@ func (s *Study) AppBaseLayout(i int) *Layout {
 // sequence algorithm seeded at each main, no SelfConfFree area, with the
 // simple loop optimisation, placed "starting from the side opposite" the
 // operating system's hot area (the image is offset within the cache so the
-// application's hot sequences start where the OS hot area ends).
+// application's hot sequences start where the OS hot area ends). The layout
+// is built from the workload's own application profile.
 func (s *Study) AppOptLayout(i, cacheSize int, osHotBytes int64) (*Plan, error) {
 	d := s.Data[i]
 	if d.App == nil {
 		return nil, nil
-	}
-	if err := d.AppProfile.Apply(d.App.Prog); err != nil {
-		return nil, err
 	}
 	params := core.Params{
 		Name:               "OptA-app",
@@ -542,7 +515,7 @@ func (s *Study) AppOptLayout(i, cacheSize int, osHotBytes int64) (*Plan, error) 
 	// base fixes the cache offset directly.
 	offset := uint64(osHotBytes) % uint64(cacheSize)
 	base := uint64(simulate.AppBase) + offset
-	return core.Optimize(d.App.Prog, core.MainEntries(d.App.Prog, d.App.Mains), s.appLoops[i](), base, params)
+	return core.Optimize(d.App.Prog, d.AppProfile, core.MainEntries(d.App.Prog, d.App.Mains), s.appLoops[i](), base, params)
 }
 
 // OSHotBytes reports the extent of the hot OS area for OptA alignment: the

@@ -2,6 +2,7 @@ package oslayout
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -53,19 +54,41 @@ func TestNewStudyDefaults(t *testing.T) {
 
 func TestProfileSwitching(t *testing.T) {
 	st := smallStudy(t)
-	if err := st.UseWorkloadProfile(0); err != nil {
+	w0, err := st.Profile("w0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	w0 := st.Kernel.Prog.TotalWeight()
-	if err := st.UseWorkloadProfile(3); err != nil {
+	w3, err := st.Profile("w3")
+	if err != nil {
 		t.Fatal(err)
 	}
-	w3 := st.Kernel.Prog.TotalWeight()
-	if w0 == w3 {
-		t.Fatal("switching profiles did not change kernel weights")
+	if w0.Total() == w3.Total() {
+		t.Fatal("workload profiles 0 and 3 have identical totals")
 	}
-	if err := st.UseAverageProfile(); err != nil {
+	// Layouts built from different profiles differ; the program is shared
+	// and unchanged, so the averaged build is unaffected by the others.
+	params := DefaultPlacementParams(8 << 10)
+	a0, err := st.Optimize(w0, params)
+	if err != nil {
 		t.Fatal(err)
+	}
+	a3, err := st.Optimize(w3, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(a0.Layout.Addr, a3.Layout.Addr) {
+		t.Error("layouts from workload profiles 0 and 3 are identical")
+	}
+	avg, err := st.OptS(8 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := smallStudy(t).OptS(8 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(avg.Layout.Addr, fresh.Layout.Addr) {
+		t.Error("averaged-profile layout changed after building from workload profiles")
 	}
 }
 
@@ -449,23 +472,22 @@ func TestBuildStrategyOnStudy(t *testing.T) {
 	}
 }
 
-func TestApplyProfileNames(t *testing.T) {
+func TestProfileNames(t *testing.T) {
 	st := smallStudy(t)
-	if err := st.ApplyProfile("w0"); err != nil {
-		t.Fatal(err)
-	}
-	w0 := st.Kernel.Prog.TotalWeight()
-	if err := st.ApplyProfile("avg"); err != nil {
-		t.Fatal(err)
-	}
-	if avg := st.Kernel.Prog.TotalWeight(); avg == w0 {
-		t.Error("avg profile identical to w0; switching had no effect")
-	}
-	if err := st.ApplyProfile(""); err != nil {
-		t.Fatal(err)
+	for name, want := range map[string]*Profile{
+		"avg": st.AvgOS, "": st.AvgOS,
+		"w0": st.Data[0].OSProfile, "w3": st.Data[3].OSProfile,
+	} {
+		got, err := st.Profile(name)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if got != want {
+			t.Errorf("profile %q is not the study's own value", name)
+		}
 	}
 	for _, bad := range []string{"w99", "w-1", "wx", "bogus"} {
-		if err := st.ApplyProfile(bad); err == nil {
+		if _, err := st.Profile(bad); err == nil {
 			t.Errorf("profile name %q accepted", bad)
 		}
 	}
