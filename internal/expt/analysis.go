@@ -228,15 +228,28 @@ func (e *Env) RunTable2() (*Table2, error) {
 	t.Regular.NumBlocks, t.Regular.NumRoutines, t.Regular.Bytes = regSet.NumBlocks, regSet.NumRoutines, regSet.Bytes
 
 	cfg := cache.Config{Size: 16 << 10, Line: 32, Assoc: 1}
-	for i := range e.St.Data {
-		res, err := e.Eval(i, e.Base(), nil, cfg)
-		if err != nil {
-			return nil, err
-		}
-		d := e.St.Data[i]
-		t.CoreRows = append(t.CoreRows, metrics.Characterize(d.Trace, d.OSProfile, coreSet, res))
-		t.RegRows = append(t.RegRows, metrics.Characterize(d.Trace, d.OSProfile, regSet, res))
+	nw := len(e.St.Data)
+	cells := make([]cell, nw)
+	for i := range cells {
+		cells[i] = cell{i: i, osL: e.Base(), cfg: cfg}
 	}
+	res, err := e.evalCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	// Each characterisation is a read-only pass over one workload's trace
+	// and cannot fail.
+	t.CoreRows = make([]metrics.SeqCharacterization, nw)
+	t.RegRows = make([]metrics.SeqCharacterization, nw)
+	_ = e.parEach(2*nw, func(j int) error {
+		i, d := j/2, e.St.Data[j/2]
+		if j%2 == 0 {
+			t.CoreRows[i] = metrics.Characterize(d.Trace, d.OSProfile, coreSet, res[i])
+		} else {
+			t.RegRows[i] = metrics.Characterize(d.Trace, d.OSProfile, regSet, res[i])
+		}
+		return nil
+	})
 	return t, nil
 }
 

@@ -37,7 +37,11 @@ type Options struct {
 	// OnWindow, when non-nil, receives one live progress sample per
 	// completed miss-rate window of the experiments' replays (see Eval and
 	// EvalMany; compare-grid cells are not observed). The callback is
-	// invoked from parEach workers concurrently and must be safe for that.
+	// invoked from parEach workers concurrently and must be safe for that:
+	// the sweeps, and the experiments that replay one evalCells batch
+	// (table2, fig12-fig14, xprofile, baselines, ablation, noise,
+	// sizemismatch) or fan their rows out per workload (fig18), all call
+	// it from several goroutines at once.
 	// Replay results stay bit-identical (observation never changes cache
 	// state); the CLI paths leave this nil, so the unobserved fast paths
 	// are untouched there.

@@ -18,6 +18,7 @@ import (
 	"oslayout/internal/obs"
 	"oslayout/internal/program"
 	"oslayout/internal/simulate"
+	"oslayout/internal/strategy"
 	"oslayout/internal/workload"
 )
 
@@ -41,50 +42,60 @@ func (e *Env) RunCrossProfile() (*CrossProfile, error) {
 	x := &CrossProfile{Workloads: e.Workloads()}
 	n := len(e.St.Data)
 
-	baseTotals := make([]uint64, n)
-	for j := range e.St.Data {
-		res, err := e.Eval(j, e.Base(), nil, cfg)
-		if err != nil {
-			return nil, err
+	// Build phase: one OptS plan per workload profile plus the averaged
+	// one, the last row.
+	plans := make([]*oslayout.Plan, n+1)
+	if err := e.parEach(n+1, func(i int) error {
+		var err error
+		if i == n {
+			plans[i], err = e.Plan("opts", cfg.Size)
+			return err
 		}
-		baseTotals[j] = res.Stats.TotalMisses()
+		key := fmt.Sprintf("OptS/%d/w%d", cfg.Size, i)
+		plans[i], err = e.plan(key, func() (*oslayout.Plan, error) {
+			params := oslayout.DefaultPlacementParams(cfg.Size)
+			params.Name = fmt.Sprintf("OptS-from-%s", x.Workloads[i])
+			return e.St.Optimize(e.St.Data[i].OSProfile, params)
+		})
+		return err
+	}); err != nil {
+		return nil, err
 	}
 
-	evalRow := func(plan *oslayout.Plan) ([]float64, error) {
-		row := make([]float64, n)
-		for j := range e.St.Data {
-			res, err := e.Eval(j, plan.Layout, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = ratio(res.Stats.TotalMisses(), baseTotals[j])
-		}
-		return row, nil
-	}
-
-	for i := 0; i < n; i++ {
-		params := oslayout.DefaultPlacementParams(cfg.Size)
-		params.Name = fmt.Sprintf("OptS-from-%s", x.Workloads[i])
-		plan, err := e.St.Optimize(e.St.Data[i].OSProfile, params)
-		if err != nil {
-			return nil, err
-		}
-		row, err := evalRow(plan)
-		if err != nil {
-			return nil, err
-		}
-		x.Normalised = append(x.Normalised, row)
-	}
-	avgPlan, err := e.Plan("opts", cfg.Size)
+	var err error
+	x.Normalised, err = e.missesVsBase(cfg, plans)
 	if err != nil {
 		return nil, err
 	}
-	row, err := evalRow(avgPlan)
-	if err != nil {
-		return nil, err
-	}
-	x.Normalised = append(x.Normalised, row)
 	return x, nil
+}
+
+// missesVsBase replays every plan's layout on every workload at cfg in one
+// evalCells batch, next to one Base cell per workload, and returns
+// rows[p][w]: plan p's total misses on workload w normalised to Base's.
+func (e *Env) missesVsBase(cfg cache.Config, plans []*oslayout.Plan) ([][]float64, error) {
+	nw := len(e.St.Data)
+	cells := make([]cell, 0, nw*(1+len(plans)))
+	for i := 0; i < nw; i++ {
+		cells = append(cells, cell{i: i, osL: e.Base(), cfg: cfg})
+	}
+	for _, plan := range plans {
+		for i := 0; i < nw; i++ {
+			cells = append(cells, cell{i: i, osL: plan.Layout, cfg: cfg})
+		}
+	}
+	res, err := e.evalCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]float64, len(plans))
+	for p := range rows {
+		rows[p] = make([]float64, nw)
+		for i := range rows[p] {
+			rows[p][i] = ratio(res[(p+1)*nw+i].Stats.TotalMisses(), res[i].Stats.TotalMisses())
+		}
+	}
+	return rows, nil
 }
 
 // Render formats the matrix.
@@ -136,27 +147,35 @@ var baselineLadder = []struct{ name, label string }{
 func (e *Env) RunBaselines() (*Baselines, error) {
 	cfg := DefaultCache
 	b := &Baselines{Workloads: e.Workloads()}
-	var layouts []*layout.Layout
-	for _, s := range baselineLadder {
-		l, err := e.Layout(s.name, cfg.Size)
+	layouts := make([]*layout.Layout, len(baselineLadder))
+	if err := e.parEach(len(baselineLadder), func(k int) error {
+		l, err := e.Layout(baselineLadder[k].name, cfg.Size)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := l.Validate(); err != nil {
-			return nil, err
-		}
+		layouts[k] = l
+		return l.Validate()
+	}); err != nil {
+		return nil, err
+	}
+	for _, s := range baselineLadder {
 		b.Strategies = append(b.Strategies, s.name)
 		b.Layouts = append(b.Layouts, s.label)
-		layouts = append(layouts, l)
+	}
+	var cells []cell
+	for i := range e.St.Data {
+		for _, l := range layouts {
+			cells = append(cells, cell{i: i, osL: l, cfg: cfg})
+		}
+	}
+	res, err := e.evalCells(cells)
+	if err != nil {
+		return nil, err
 	}
 	for i := range e.St.Data {
-		var row []float64
-		for _, l := range layouts {
-			res, err := e.Eval(i, l, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.Stats.MissRate())
+		row := make([]float64, len(layouts))
+		for k := range row {
+			row[k] = res[i*len(layouts)+k].Stats.MissRate()
 		}
 		b.Rates = append(b.Rates, row)
 	}
@@ -201,16 +220,19 @@ func (e *Env) RunAblation() (*Ablation, error) {
 	a := &Ablation{Workloads: e.Workloads()}
 
 	mk := func(name string, mutate func(*core.Params), entries func() [program.NumSeedClasses]program.BlockID) (*oslayout.Plan, error) {
-		params := oslayout.DefaultPlacementParams(cfg.Size)
-		params.Name = name
-		if mutate != nil {
-			mutate(&params)
-		}
-		ent := core.SeedEntries(e.St.Kernel.Prog)
-		if entries != nil {
-			ent = entries()
-		}
-		return core.Optimize(e.St.Kernel.Prog, e.St.AvgOS, ent, e.St.KernelLoops(), 0, params)
+		key := fmt.Sprintf("Ablation/%s/%d/%s", name, cfg.Size, strategy.AvgProfile)
+		return e.plan(key, func() (*oslayout.Plan, error) {
+			params := oslayout.DefaultPlacementParams(cfg.Size)
+			params.Name = name
+			if mutate != nil {
+				mutate(&params)
+			}
+			ent := core.SeedEntries(e.St.Kernel.Prog)
+			if entries != nil {
+				ent = entries()
+			}
+			return core.Optimize(e.St.Kernel.Prog, e.St.AvgOS, ent, e.St.KernelLoops(), 0, params)
+		})
 	}
 
 	singleSeed := func() [program.NumSeedClasses]program.BlockID {
@@ -239,25 +261,23 @@ func (e *Env) RunAblation() (*Ablation, error) {
 		{"seq cap 2KB", func(p *core.Params) { p.MaxSeqBytes = 2 << 10 }, nil},
 		{"seq cap 512B", func(p *core.Params) { p.MaxSeqBytes = 512 }, nil},
 	}
+	plans := make([]*oslayout.Plan, len(variants))
+	if err := e.parEach(len(variants), func(v int) error {
+		var err error
+		plans[v], err = mk(variants[v].name, variants[v].mutate, variants[v].entries)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+
 	for _, v := range variants {
 		a.Variants = append(a.Variants, v.name)
-		plan, err := mk(v.name, v.mutate, v.entries)
-		if err != nil {
-			return nil, err
-		}
-		var row []float64
-		for i := range e.St.Data {
-			baseRes, err := e.Eval(i, e.Base(), nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := e.Eval(i, plan.Layout, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, ratio(res.Stats.TotalMisses(), baseRes.Stats.TotalMisses()))
-		}
-		a.Normalised = append(a.Normalised, row)
+	}
+	// One Base cell per workload serves every variant's row.
+	var err error
+	a.Normalised, err = e.missesVsBase(cfg, plans)
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
 }

@@ -13,6 +13,7 @@ import (
 	"oslayout/internal/layout"
 	"oslayout/internal/metrics"
 	"oslayout/internal/profile"
+	"oslayout/internal/strategy"
 )
 
 // Overhead quantifies the paper's Section 4.3 remark that basic-block
@@ -181,35 +182,29 @@ func (e *Env) RunNoise() (*Noise, error) {
 		Levels:    []float64{0, 0.25, 0.5, 0.9},
 		Workloads: e.Workloads(),
 	}
-	baseTotals := make([]uint64, len(e.St.Data))
-	for i := range e.St.Data {
-		res, err := e.Eval(i, e.Base(), nil, cfg)
-		if err != nil {
-			return nil, err
-		}
-		baseTotals[i] = res.Stats.TotalMisses()
+	plans := make([]*oslayout.Plan, len(n.Levels))
+	if err := e.parEach(len(n.Levels), func(li int) error {
+		level, seed := n.Levels[li], int64(4243+li)
+		key := fmt.Sprintf("OptS/%d/noise=%g,seed=%d/%s", cfg.Size, level, seed, strategy.AvgProfile)
+		var err error
+		plans[li], err = e.plan(key, func() (*oslayout.Plan, error) {
+			prof := e.St.AvgOS
+			if level > 0 {
+				prof = perturbWeights(prof, level, seed)
+			}
+			params := oslayout.DefaultPlacementParams(cfg.Size)
+			params.Name = fmt.Sprintf("OptS-noise%.2f", level)
+			return e.St.Optimize(prof, params)
+		})
+		return err
+	}); err != nil {
+		return nil, err
 	}
 
-	for li, level := range n.Levels {
-		prof := e.St.AvgOS
-		if level > 0 {
-			prof = perturbWeights(prof, level, int64(4243+li))
-		}
-		params := oslayout.DefaultPlacementParams(cfg.Size)
-		params.Name = fmt.Sprintf("OptS-noise%.2f", level)
-		plan, err := e.St.Optimize(prof, params)
-		if err != nil {
-			return nil, err
-		}
-		var row []float64
-		for i := range e.St.Data {
-			res, err := e.Eval(i, plan.Layout, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, ratio(res.Stats.TotalMisses(), baseTotals[i]))
-		}
-		n.Normalised = append(n.Normalised, row)
+	var err error
+	n.Normalised, err = e.missesVsBase(cfg, plans)
+	if err != nil {
+		return nil, err
 	}
 	return n, nil
 }
@@ -363,33 +358,42 @@ func (e *Env) RunSizeMismatch() (*SizeMismatch, error) {
 		Sizes:     []int{4 << 10, 8 << 10, 16 << 10},
 		Workloads: e.Workloads(),
 	}
+	matched := make([]*oslayout.Plan, len(m.Sizes))
+	if err := e.parEach(len(m.Sizes), func(si int) error {
+		var err error
+		matched[si], err = e.Plan("opts", m.Sizes[si])
+		return err
+	}); err != nil {
+		return nil, err
+	}
 	plan8, err := e.Plan("opts", 8<<10)
 	if err != nil {
 		return nil, err
 	}
-	for _, size := range m.Sizes {
-		matched, err := e.Plan("opts", size)
-		if err != nil {
-			return nil, err
-		}
+	// Three cells per (size, workload): Base, size-matched, 8KB-tuned. At
+	// 8KB the last two are the same layout and replay once.
+	nw := len(e.St.Data)
+	var cells []cell
+	for si, size := range m.Sizes {
 		cfg := cache.Config{Size: size, Line: 32, Assoc: 1}
-		var rowM, rowT []float64
-		for i := range e.St.Data {
-			baseRes, err := e.Eval(i, e.Base(), nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			baseTotal := baseRes.Stats.TotalMisses()
-			rm, err := e.Eval(i, matched.Layout, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rt, err := e.Eval(i, plan8.Layout, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rowM = append(rowM, ratio(rm.Stats.TotalMisses(), baseTotal))
-			rowT = append(rowT, ratio(rt.Stats.TotalMisses(), baseTotal))
+		for i := 0; i < nw; i++ {
+			cells = append(cells,
+				cell{i: i, osL: e.Base(), cfg: cfg},
+				cell{i: i, osL: matched[si].Layout, cfg: cfg},
+				cell{i: i, osL: plan8.Layout, cfg: cfg})
+		}
+	}
+	res, err := e.evalCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	for si := range m.Sizes {
+		rowM, rowT := make([]float64, nw), make([]float64, nw)
+		for i := 0; i < nw; i++ {
+			r := res[3*(si*nw+i):]
+			baseTotal := r[0].Stats.TotalMisses()
+			rowM[i] = ratio(r[1].Stats.TotalMisses(), baseTotal)
+			rowT[i] = ratio(r[2].Stats.TotalMisses(), baseTotal)
 		}
 		m.Matched = append(m.Matched, rowM)
 		m.Tuned8K = append(m.Tuned8K, rowT)

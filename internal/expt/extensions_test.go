@@ -1,7 +1,10 @@
 package expt
 
 import (
+	"strings"
 	"testing"
+
+	"oslayout/internal/obs"
 )
 
 func TestCrossProfileShape(t *testing.T) {
@@ -114,6 +117,39 @@ func TestAblationIngredients(t *testing.T) {
 				t.Errorf("variant %q on %s: %.2f of Base", a.Variants[v], a.Workloads[w], x)
 			}
 		}
+	}
+}
+
+// TestAblationReplaysBaseOncePerWorkload pins what the batched ablation
+// costs: one Base replay per workload serves every variant's row, so the
+// experiment replays (1 + variants) x workloads cells, and each variant's
+// build is timed as a custom-key layout span.
+func TestAblationReplaysBaseOncePerWorkload(t *testing.T) {
+	rec := obs.NewRecorder()
+	e, err := NewEnv(Options{OSRefs: 60_000, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := e.RunAblation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perPass uint64
+	for _, d := range e.St.Data {
+		perPass += uint64(d.Trace.NumEvents())
+	}
+	if got, want := rec.Counters()["replay.events"], uint64(1+len(a.Variants))*perPass; got != want {
+		t.Errorf("ablation replayed %d events, want %d (Base once plus each of %d variants, per workload)",
+			got, want, len(a.Variants))
+	}
+	spans := 0
+	for _, ph := range rec.Phases() {
+		if strings.HasPrefix(ph.Name, "layout.custom:Ablation/") {
+			spans++
+		}
+	}
+	if spans != len(a.Variants) {
+		t.Errorf("recorded %d ablation build spans, want one per variant (%d)", spans, len(a.Variants))
 	}
 }
 

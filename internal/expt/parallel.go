@@ -3,14 +3,11 @@ package expt
 import (
 	"runtime"
 	"sync"
-)
 
-// parEach runs f(0..n-1) concurrently, bounded by GOMAXPROCS workers; see
-// parEachN. Environment-driven callers should prefer (*Env).parEach, which
-// respects the user's -par bound instead of this hardcoded policy.
-func parEach(n int, f func(i int) error) error {
-	return parEachN(runtime.GOMAXPROCS(0), n, f)
-}
+	"oslayout/internal/cache"
+	"oslayout/internal/layout"
+	"oslayout/internal/simulate"
+)
 
 // parEach runs f(0..n-1) concurrently, bounded by the environment's
 // configured parallelism (Options.Par, the CLI's -par): job-level fan-out
@@ -20,16 +17,22 @@ func (e *Env) parEach(n int, f func(i int) error) error {
 	return parEachN(e.par, n, f)
 }
 
+// buildAll runs independent layout builds concurrently under parEach and
+// returns the error a sequential run of them, in order, would return.
+// Builds are memoized single-flight in the strategy cache and read only
+// immutable profiles, so they are safe to overlap.
+func (e *Env) buildAll(builds ...func() error) error {
+	return e.parEach(len(builds), func(i int) error { return builds[i]() })
+}
+
 // parEachN runs f(0..n-1) concurrently, bounded by the given worker count
 // (non-positive selects GOMAXPROCS), and returns the error of the LOWEST
 // failing index — the same error a sequential loop would return — so a
-// failing sweep reports deterministically regardless of worker scheduling.
-// Cache simulations are pure (each run builds its own cache and only reads
-// the shared trace, layout and program), so the sweep experiments fan their
-// grid points out across cores. Layout construction is pure too (it reads
-// immutable profiles), but callers still build their layouts first, one
-// after another, and fan out only the evaluation: the builds are memoized
-// and parallelising them is a separate change.
+// failing run reports deterministically regardless of worker scheduling.
+// Both halves of an experiment fan out through it: layout construction
+// (pure: it reads immutable profiles, and the strategy cache is
+// single-flight) and cache simulation (pure: each run builds its own cache
+// and only reads the shared trace, layout and program).
 func parEachN(workers, n int, f func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -91,4 +94,50 @@ func parEachN(workers, n int, f func(i int) error) error {
 	}
 	wg.Wait()
 	return first
+}
+
+// cell is one single-configuration replay: workload i under the given
+// kernel and application layouts (appL nil selects the workload's Base
+// application layout, as in Eval) on one cache organisation. Layouts
+// compare by pointer, so two cells are equal only when they name the very
+// same layouts.
+type cell struct {
+	i         int
+	osL, appL *layout.Layout
+	cfg       cache.Config
+}
+
+// evalCells replays each distinct cell once through Eval, fanned out over
+// parEach, and returns the results in cell order. Equal cells share one
+// *Result, so callers must treat every result as read-only. The error is
+// the one a sequential loop over the cells would stop on: distinct cells
+// are replayed in first-occurrence order, so the lowest failing distinct
+// cell is also the lowest failing cell.
+func (e *Env) evalCells(cells []cell) ([]*simulate.Result, error) {
+	slot := make([]int, len(cells))
+	seen := make(map[cell]int, len(cells))
+	var uniq []cell
+	for k, c := range cells {
+		j, ok := seen[c]
+		if !ok {
+			j = len(uniq)
+			seen[c] = j
+			uniq = append(uniq, c)
+		}
+		slot[k] = j
+	}
+	res := make([]*simulate.Result, len(uniq))
+	if err := e.parEach(len(uniq), func(j int) error {
+		c := uniq[j]
+		r, err := e.Eval(c.i, c.osL, c.appL, c.cfg)
+		res[j] = r
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	out := make([]*simulate.Result, len(cells))
+	for k, j := range slot {
+		out[k] = res[j]
+	}
+	return out, nil
 }

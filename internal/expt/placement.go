@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"oslayout"
 	"oslayout/internal/core"
 	"oslayout/internal/layout"
 	"oslayout/internal/simulate"
@@ -86,15 +87,36 @@ func layoutBars(name string, res *simulate.Result, baseTotal uint64) LayoutBars 
 // RunFigure12 computes Figure 12.
 func (e *Env) RunFigure12() (*Figure12, error) {
 	cfg := DefaultCache
-	ch, err := e.Layout("ch", 0)
-	if err != nil {
+	var ch *layout.Layout
+	var opts, optl *oslayout.Plan
+	if err := e.buildAll(
+		func() (err error) { ch, err = e.Layout("ch", 0); return },
+		func() (err error) { opts, err = e.Plan("opts", cfg.Size); return },
+		func() (err error) { optl, err = e.Plan("optl", cfg.Size); return },
+	); err != nil {
 		return nil, err
 	}
-	opts, err := e.Plan("opts", cfg.Size)
-	if err != nil {
+	// OptA: optimised application layouts on top of OptS.
+	nw := len(e.St.Data)
+	appLs := make([]*layout.Layout, nw)
+	if err := e.parEach(nw, func(i int) (err error) {
+		appLs[i], err = e.AppOpt(i, cfg.Size, opts)
+		return
+	}); err != nil {
 		return nil, err
 	}
-	optl, err := e.Plan("optl", cfg.Size)
+
+	names := []string{"Base", "C-H", "OptS", "OptL", "OptA"}
+	var cells []cell
+	for i := 0; i < nw; i++ {
+		cells = append(cells,
+			cell{i: i, osL: e.Base(), cfg: cfg},
+			cell{i: i, osL: ch, cfg: cfg},
+			cell{i: i, osL: opts.Layout, cfg: cfg},
+			cell{i: i, osL: optl.Layout, cfg: cfg},
+			cell{i: i, osL: opts.Layout, appL: appLs[i], cfg: cfg})
+	}
+	res, err := e.evalCells(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -102,34 +124,12 @@ func (e *Env) RunFigure12() (*Figure12, error) {
 	for i, d := range e.St.Data {
 		osRefs, appRefs := d.Trace.Refs()
 		f.OSRefShare = append(f.OSRefShare, ratio(osRefs, osRefs+appRefs))
-
-		var bars []LayoutBars
-		baseRes, err := e.Eval(i, e.Base(), nil, cfg)
-		if err != nil {
-			return nil, err
+		row := res[i*len(names) : (i+1)*len(names)]
+		baseTotal := row[0].Stats.TotalMisses()
+		bars := make([]LayoutBars, len(names))
+		for k, name := range names {
+			bars[k] = layoutBars(name, row[k], baseTotal)
 		}
-		baseTotal := baseRes.Stats.TotalMisses()
-		bars = append(bars, layoutBars("Base", baseRes, baseTotal))
-		for _, v := range []struct {
-			name string
-			l    *layout.Layout
-		}{{"C-H", ch}, {"OptS", opts.Layout}, {"OptL", optl.Layout}} {
-			res, err := e.Eval(i, v.l, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
-			bars = append(bars, layoutBars(v.name, res, baseTotal))
-		}
-		// OptA: optimised application layout on top of OptS.
-		appL, err := e.AppOpt(i, cfg.Size, opts)
-		if err != nil {
-			return nil, err
-		}
-		resA, err := e.Eval(i, opts.Layout, appL, cfg)
-		if err != nil {
-			return nil, err
-		}
-		bars = append(bars, layoutBars("OptA", resA, baseTotal))
 		f.Bars = append(f.Bars, bars)
 	}
 	return f, nil
@@ -187,24 +187,31 @@ func figure13Class(c core.BlockClass) int {
 // RunFigure13 computes Figure 13.
 func (e *Env) RunFigure13() (*Figure13, error) {
 	cfg := DefaultCache
-	plan, err := e.Plan("optl", cfg.Size)
-	if err != nil {
+	var ch *layout.Layout
+	var plan, opts *oslayout.Plan
+	if err := e.buildAll(
+		func() (err error) { plan, err = e.Plan("optl", cfg.Size); return },
+		func() (err error) { ch, err = e.Layout("ch", 0); return },
+		func() (err error) { opts, err = e.Plan("opts", cfg.Size); return },
+	); err != nil {
 		return nil, err
 	}
 	classes := plan.Classes
-	ch, err := e.Layout("ch", 0)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := e.Plan("opts", cfg.Size)
-	if err != nil {
-		return nil, err
-	}
 	f := &Figure13{
 		Workloads: e.Workloads(),
 		Layouts:   []string{"Base", "C-H", "OptS", "OptL"},
 	}
 	layouts := []*layout.Layout{e.Base(), ch, opts.Layout, plan.Layout}
+	var cells []cell
+	for i := range e.St.Data {
+		for _, l := range layouts {
+			cells = append(cells, cell{i: i, osL: l, cfg: cfg})
+		}
+	}
+	res, err := e.evalCells(cells)
+	if err != nil {
+		return nil, err
+	}
 	k := e.St.Kernel.Prog
 	for i := range e.St.Data {
 		// Reference shares from the workload profile.
@@ -227,13 +234,9 @@ func (e *Env) RunFigure13() (*Figure13, error) {
 
 		var rows [][4]float64
 		var baseOSMisses float64
-		for li, l := range layouts {
-			res, err := e.Eval(i, l, nil, cfg)
-			if err != nil {
-				return nil, err
-			}
+		for li := range layouts {
 			var row [4]float64
-			for b, m := range res.BlockMisses[trace.DomainOS] {
+			for b, m := range res[i*len(layouts)+li].BlockMisses[trace.DomainOS] {
 				row[figure13Class(classes[b])] += float64(m)
 			}
 			if li == 0 {
@@ -285,22 +288,30 @@ type Figure14 struct {
 // RunFigure14 computes Figure 14.
 func (e *Env) RunFigure14() (*Figure14, error) {
 	cfg := DefaultCache
-	ch, err := e.Layout("ch", 0)
-	if err != nil {
+	var ch *layout.Layout
+	var opts *oslayout.Plan
+	if err := e.buildAll(
+		func() (err error) { ch, err = e.Layout("ch", 0); return },
+		func() (err error) { opts, err = e.Plan("opts", cfg.Size); return },
+	); err != nil {
 		return nil, err
 	}
-	opts, err := e.Plan("opts", cfg.Size)
+	layouts := []*layout.Layout{e.Base(), ch, opts.Layout}
+	nw := len(e.St.Data)
+	var cells []cell
+	for _, l := range layouts {
+		for i := 0; i < nw; i++ {
+			cells = append(cells, cell{i: i, osL: l, cfg: cfg})
+		}
+	}
+	res, err := e.evalCells(cells)
 	if err != nil {
 		return nil, err
 	}
 	f := &Figure14{}
-	sum := func(dst *[]uint64, l *layout.Layout) error {
-		for i := range e.St.Data {
-			res, err := e.Eval(i, l, nil, cfg)
-			if err != nil {
-				return err
-			}
-			h := simulate.HistogramOf(res.BlockMisses[trace.DomainOS], e.Base(), 1<<10)
+	for li, dst := range []*[]uint64{&f.Base, &f.CH, &f.OptS} {
+		for _, r := range res[li*nw : (li+1)*nw] {
+			h := simulate.HistogramOf(r.BlockMisses[trace.DomainOS], e.Base(), 1<<10)
 			if *dst == nil {
 				*dst = make([]uint64, len(h))
 			}
@@ -308,16 +319,6 @@ func (e *Env) RunFigure14() (*Figure14, error) {
 				(*dst)[j] += v
 			}
 		}
-		return nil
-	}
-	if err := sum(&f.Base, e.Base()); err != nil {
-		return nil, err
-	}
-	if err := sum(&f.CH, ch); err != nil {
-		return nil, err
-	}
-	if err := sum(&f.OptS, opts.Layout); err != nil {
-		return nil, err
 	}
 	peak := func(h []uint64) uint64 {
 		var m uint64

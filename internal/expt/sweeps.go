@@ -162,17 +162,22 @@ func (e *Env) RunFigure16() (*Figure16, error) {
 	nw := len(e.St.Data)
 	nc := len(f.Cutoffs)
 	allPlans := make([][]*layout.Layout, len(f.Sizes))
-	for si, size := range f.Sizes {
-		var areas []int64
-		for _, cut := range f.Cutoffs {
-			plan, err := e.OptSCutoff(size, cut)
-			if err != nil {
-				return nil, err
-			}
-			areas = append(areas, plan.SCFBytes)
-			allPlans[si] = append(allPlans[si], plan.Layout)
+	f.AreaBytes = make([][]int64, len(f.Sizes))
+	for si := range f.Sizes {
+		allPlans[si] = make([]*layout.Layout, nc)
+		f.AreaBytes[si] = make([]int64, nc)
+	}
+	if err := e.parEach(len(f.Sizes)*nc, func(j int) error {
+		si, ci := j/nc, j%nc
+		plan, err := e.OptSCutoff(f.Sizes[si], f.Cutoffs[ci])
+		if err != nil {
+			return err
 		}
-		f.AreaBytes = append(f.AreaBytes, areas)
+		f.AreaBytes[si][ci] = plan.SCFBytes
+		allPlans[si][ci] = plan.Layout
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	f.Normalised = make([][][]float64, len(f.Sizes))
 	baseTotals := make([][]uint64, len(f.Sizes))
@@ -356,47 +361,46 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 		Workloads: e.Workloads(),
 		Setups:    []string{"Base", "OptA", "Sep", "Resv", "Call"},
 	}
-	optsFull, err := e.Plan("opts", cfg.Size)
-	if err != nil {
-		return nil, err
-	}
-	// Sep: both halves optimised for a half-size cache.
-	halfPlan, err := e.Plan("opts", cfg.Size/2)
-	if err != nil {
-		return nil, err
-	}
-	// Resv: the SelfConfFree-qualifying blocks live in a dedicated 1KB
-	// cache; the OS image keeps them contiguous but reserves no windows in
-	// the other logical caches ("laid out without SelfConfFree area").
-	noSCF, err := e.plan("Resv/7K/"+strategy.AvgProfile, func() (*oslayout.Plan, error) {
-		p := oslayout.DefaultPlacementParams(7 << 10)
-		p.Name = "Resv"
-		p.NoSCFWindows = true
-		return e.St.Optimize(e.St.AvgOS, p)
-	})
-	if err != nil {
-		return nil, err
-	}
-	callPlan, err := e.Plan("optcall", cfg.Size)
-	if err != nil {
+	// Build phase. Sep: both halves optimised for a half-size cache. Resv:
+	// the SelfConfFree-qualifying blocks live in a dedicated 1KB cache; the
+	// OS image keeps them contiguous but reserves no windows in the other
+	// logical caches ("laid out without SelfConfFree area").
+	var optsFull, halfPlan, noSCF, callPlan *oslayout.Plan
+	if err := e.buildAll(
+		func() (err error) { optsFull, err = e.Plan("opts", cfg.Size); return },
+		func() (err error) { halfPlan, err = e.Plan("opts", cfg.Size/2); return },
+		func() (err error) {
+			noSCF, err = e.plan("Resv/7K/"+strategy.AvgProfile, func() (*oslayout.Plan, error) {
+				p := oslayout.DefaultPlacementParams(7 << 10)
+				p.Name = "Resv"
+				p.NoSCFWindows = true
+				return e.St.Optimize(e.St.AvgOS, p)
+			})
+			return
+		},
+		func() (err error) { callPlan, err = e.Plan("optcall", cfg.Size); return },
+	); err != nil {
 		return nil, err
 	}
 
-	for i := range e.St.Data {
+	// Replay phase: Sep and Resv need their own cache setups, so each
+	// workload's row (its application layouts included) is one task.
+	f.Normalised = make([][]float64, len(e.St.Data))
+	if err := e.parEach(len(e.St.Data), func(i int) error {
 		baseRes, err := e.Eval(i, e.Base(), nil, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		baseTotal := baseRes.Stats.TotalMisses()
 		row := []float64{1.0}
 
 		appOpt, err := e.AppOpt(i, cfg.Size, optsFull)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		resA, err := e.Eval(i, optsFull.Layout, appOpt, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row = append(row, ratio(resA.Stats.TotalMisses(), baseTotal))
 
@@ -404,14 +408,14 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 		halfCfg := cache.Config{Size: cfg.Size / 2, Line: cfg.Line, Assoc: cfg.Assoc}
 		appHalf, err := e.AppOpt(i, halfCfg.Size, halfPlan)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if appHalf == nil {
 			appHalf = e.AppBase(i)
 		}
 		resSep, err := e.St.EvaluateSplit(i, halfPlan.Layout, appHalf, halfCfg, halfCfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row = append(row, ratio(resSep.Stats.TotalMisses(), baseTotal))
 
@@ -424,29 +428,32 @@ func (e *Env) RunFigure18() (*Figure18, error) {
 		mainCfg := cache.Config{Size: 7 << 10, Line: cfg.Line, Assoc: 7 * cfg.Assoc}
 		appOptR, err := e.AppOpt(i, cfg.Size, noSCF)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if appOptR == nil {
 			appOptR = e.AppBase(i)
 		}
 		resResv, err := e.St.EvaluateReserved(i, noSCF.Layout, appOptR, noSCF.SelfConfFree, smallCfg, mainCfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row = append(row, ratio(resResv.Stats.TotalMisses(), baseTotal))
 
 		// Call: the advanced Section 4.4 loop optimisation plus OptA app.
 		appOptC, err := e.AppOpt(i, cfg.Size, callPlan)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		resCall, err := e.Eval(i, callPlan.Layout, appOptC, cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row = append(row, ratio(resCall.Stats.TotalMisses(), baseTotal))
 
-		f.Normalised = append(f.Normalised, row)
+		f.Normalised[i] = row
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
